@@ -101,12 +101,12 @@ func BenchmarkFig22_Associations(b *testing.B) {
 			as := make([]LogicalAddr, b.N)
 			bs := make([]LogicalAddr, b.N)
 			for i := 0; i < b.N; i++ {
-				as[i], _ = sys.Insert("a", nil)
-				bs[i], _ = sys.Insert("b", nil)
+				as[i], _ = sys.Insert(access.Scope{}, "a", nil)
+				bs[i], _ = sys.Insert(access.Scope{}, "b", nil)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sys.Connect(as[i], kind.attr, bs[i]); err != nil {
+				if err := sys.Connect(access.Scope{}, as[i], kind.attr, bs[i]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -272,7 +272,7 @@ func BenchmarkSortScanModes(b *testing.B) {
 		}
 		sys := db.System()
 		for i := 0; i < 2000; i++ {
-			if _, err := sys.Insert("solid", map[string]atom.Value{
+			if _, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 				"solid_no": atom.Int(int64((i * 7919) % 100000)),
 			}); err != nil {
 				b.Fatal(err)
@@ -333,7 +333,7 @@ func BenchmarkPartitionProjection(b *testing.B) {
 				wide[i] = 'x'
 			}
 			for i := 0; i < 1000; i++ {
-				a, err := sys.Insert("solid", map[string]atom.Value{
+				a, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 					"solid_no":    atom.Int(int64(i)),
 					"description": atom.Str(string(wide)),
 				})
@@ -372,7 +372,7 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 	sys := db.System()
 	var addrs []LogicalAddr
 	for i := 0; i < 1000; i++ {
-		a, err := sys.Insert("solid", map[string]atom.Value{"solid_no": atom.Int(int64(i))})
+		a, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{"solid_no": atom.Int(int64(i))})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -386,7 +386,7 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 	}
 	b.Run("update_deferred", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := sys.Update(addrs[i%len(addrs)], map[string]atom.Value{"description": atom.Str(fmt.Sprintf("v%d", i))}); err != nil {
+			if err := sys.Update(access.Scope{}, addrs[i%len(addrs)], map[string]atom.Value{"description": atom.Str(fmt.Sprintf("v%d", i))}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -394,7 +394,7 @@ func BenchmarkDeferredUpdate(b *testing.B) {
 	b.Run("propagate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			if err := sys.Update(addrs[i%len(addrs)], map[string]atom.Value{"description": atom.Str(fmt.Sprintf("w%d", i))}); err != nil {
+			if err := sys.Update(access.Scope{}, addrs[i%len(addrs)], map[string]atom.Value{"description": atom.Str(fmt.Sprintf("w%d", i))}); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
@@ -564,6 +564,47 @@ func BenchmarkNestedTxThroughput(b *testing.B) {
 			}
 		}
 	})
+	// concurrentN: N goroutines each run MODIFY-and-commit transactions on
+	// an atom of their own, so no two transactions ever want the same lock
+	// and only the transaction layer's own serialization limits tx/s.
+	const maxConc = 16
+	modify := make([]string, maxConc)
+	for w := range modify {
+		res, err := db.ExecOne(fmt.Sprintf(`INSERT INTO solid (solid_no) VALUES (%d)`, 3000000+w))
+		if err != nil {
+			b.Fatal(err)
+		}
+		a := res.Inserted[0]
+		modify[w] = fmt.Sprintf(`MODIFY solid SET description = 'w%d' WHERE solid_id = @%d.%d`, w, a.Type(), a.Seq())
+	}
+	for _, conc := range []int{1, 4, maxConc} {
+		b.Run(fmt.Sprintf("concurrent%d", conc), func(b *testing.B) {
+			var next atomic.Int64
+			var failed atomic.Pointer[error]
+			var wg sync.WaitGroup
+			for w := 0; w < conc; w++ {
+				wg.Add(1)
+				go func(q string) {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) && failed.Load() == nil {
+						tx := db.Begin()
+						_, err := tx.Exec(q)
+						if err == nil {
+							err = tx.Commit()
+						}
+						if err != nil {
+							failed.Store(&err)
+						}
+					}
+				}(modify[w])
+			}
+			wg.Wait()
+			if err := failed.Load(); err != nil {
+				b.Fatal(*err)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "tx/s")
+		})
+	}
 }
 
 // BenchmarkSelectivePredicate measures the compiled predicate pipeline

@@ -136,11 +136,11 @@ func fig22() error {
 	const n = 2000
 	var as, bs []prima.LogicalAddr
 	for i := 0; i < n; i++ {
-		x, err := sys.Insert("a", nil)
+		x, err := sys.Insert(access.Scope{}, "a", nil)
 		if err != nil {
 			return err
 		}
-		y, err := sys.Insert("b", nil)
+		y, err := sys.Insert(access.Scope{}, "b", nil)
 		if err != nil {
 			return err
 		}
@@ -149,7 +149,7 @@ func fig22() error {
 	bench := func(label, attr string) error {
 		start := time.Now()
 		for i := 0; i < n; i++ {
-			if err := sys.Connect(as[i], attr, bs[i]); err != nil {
+			if err := sys.Connect(access.Scope{}, as[i], attr, bs[i]); err != nil {
 				return err
 			}
 		}
@@ -474,7 +474,7 @@ func a2() error {
 	sys := db.System()
 	const n = 5000
 	for i := 0; i < n; i++ {
-		if _, err := sys.Insert("solid", map[string]atom.Value{
+		if _, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 			"solid_no":    atom.Int(int64((i * 7919) % 100000)),
 			"description": atom.Str("part"),
 		}); err != nil {
@@ -522,7 +522,7 @@ func a3() error {
 	sys := db.System()
 	const n = 3000
 	for i := 0; i < n; i++ {
-		if _, err := sys.Insert("solid", map[string]atom.Value{
+		if _, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 			"solid_no":    atom.Int(int64(i)),
 			"description": atom.Str("a rather long descriptive text that makes the atom wide enough for the partition to pay off when only the number is wanted ..."),
 		}); err != nil {
@@ -565,7 +565,7 @@ func a4() error {
 	const n = 2000
 	var addrs []prima.LogicalAddr
 	for i := 0; i < n; i++ {
-		a, err := sys.Insert("solid", map[string]atom.Value{"solid_no": atom.Int(int64(i)), "description": atom.Str("x")})
+		a, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{"solid_no": atom.Int(int64(i)), "description": atom.Str("x")})
 		if err != nil {
 			return err
 		}
@@ -580,7 +580,7 @@ func a4() error {
 	}
 	start := time.Now()
 	for _, a := range addrs {
-		if err := sys.Update(a, map[string]atom.Value{"description": atom.Str("updated")}); err != nil {
+		if err := sys.Update(access.Scope{}, a, map[string]atom.Value{"description": atom.Str("updated")}); err != nil {
 			return err
 		}
 	}

@@ -169,7 +169,7 @@ func (s *localSession) run(src string, maxMol int) error {
 }
 
 func (s *localSession) stats() error {
-	fmt.Print(s.db.Stats())
+	fmt.Println(s.db.Metrics().Summary())
 	return nil
 }
 

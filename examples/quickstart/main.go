@@ -83,5 +83,5 @@ func main() {
 		fmt.Print(mol)
 	}
 
-	fmt.Println("stats:", db.Stats())
+	fmt.Println("stats:", db.Metrics().Summary())
 }

@@ -70,5 +70,5 @@ func main() {
 	  WHERE brep_no = 3
 	  AND EXISTS_AT_LEAST (2) edge: edge.length > 1.0`)
 
-	fmt.Println("stats:", db.Stats())
+	fmt.Println("stats:", db.Metrics().Summary())
 }

@@ -53,7 +53,7 @@ func newSystem(t testing.TB) *System {
 
 func TestInsertGet(t *testing.T) {
 	s := newSystem(t)
-	a, err := s.Insert("doc", map[string]atom.Value{
+	a, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 		"title": atom.Str("PRIMA"),
 		"pages": atom.Int(10),
 		"score": atom.Real(4.5),
@@ -84,16 +84,16 @@ func TestInsertGet(t *testing.T) {
 	}
 
 	// Error paths.
-	if _, err := s.Insert("ghost", nil); !errors.Is(err, catalog.ErrUnknownType) {
+	if _, err := s.Insert(Scope{}, "ghost", nil); !errors.Is(err, catalog.ErrUnknownType) {
 		t.Fatalf("Insert unknown type = %v", err)
 	}
-	if _, err := s.Insert("doc", map[string]atom.Value{"nope": atom.Int(1)}); !errors.Is(err, catalog.ErrUnknownAttr) {
+	if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{"nope": atom.Int(1)}); !errors.Is(err, catalog.ErrUnknownAttr) {
 		t.Fatalf("Insert unknown attr = %v", err)
 	}
-	if _, err := s.Insert("doc", map[string]atom.Value{"id": atom.Ident(1)}); !errors.Is(err, ErrReadOnlyAttr) {
+	if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{"id": atom.Ident(1)}); !errors.Is(err, ErrReadOnlyAttr) {
 		t.Fatalf("Insert with IDENTIFIER = %v", err)
 	}
-	if _, err := s.Insert("doc", map[string]atom.Value{"pages": atom.Str("x")}); !errors.Is(err, catalog.ErrTypeCheck) {
+	if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{"pages": atom.Str("x")}); !errors.Is(err, catalog.ErrTypeCheck) {
 		t.Fatalf("Insert bad type = %v", err)
 	}
 	if _, err := s.Get(addr.New(99, 1), nil); err == nil {
@@ -103,11 +103,11 @@ func TestInsertGet(t *testing.T) {
 
 func TestBackReferenceMaintenance(t *testing.T) {
 	s := newSystem(t)
-	a1, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("Härder")})
-	a2, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("Mitschang")})
+	a1, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("Härder")})
+	a2, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("Mitschang")})
 
 	// Insert a doc referencing both authors: back-refs must appear.
-	d, err := s.Insert("doc", map[string]atom.Value{
+	d, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 		"title":   atom.Str("MAD model"),
 		"authors": atom.RefSet(a1, a2),
 	})
@@ -122,20 +122,20 @@ func TestBackReferenceMaintenance(t *testing.T) {
 	}
 
 	// Referencing a missing atom fails.
-	if _, err := s.Insert("doc", map[string]atom.Value{
+	if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 		"authors": atom.RefSet(addr.New(a1.Type(), 9999)),
 	}); !errors.Is(err, ErrBadRef) {
 		t.Fatalf("dangling ref = %v, want ErrBadRef", err)
 	}
 	// Referencing the wrong type fails.
-	if _, err := s.Insert("doc", map[string]atom.Value{
+	if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 		"authors": atom.RefSet(d), // a doc, not an author
 	}); !errors.Is(err, ErrBadRef) {
 		t.Fatalf("wrong-type ref = %v, want ErrBadRef", err)
 	}
 
 	// Disconnect removes both directions.
-	if err := s.Disconnect(d, "authors", a1); err != nil {
+	if err := s.Disconnect(Scope{}, d, "authors", a1); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
 	dAt, _ := s.Get(d, nil)
@@ -148,7 +148,7 @@ func TestBackReferenceMaintenance(t *testing.T) {
 	}
 
 	// Connect from the *other* side: symmetry works in both directions.
-	if err := s.Connect(a1, "docs", d); err != nil {
+	if err := s.Connect(Scope{}, a1, "docs", d); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	dAt, _ = s.Get(d, nil)
@@ -157,7 +157,7 @@ func TestBackReferenceMaintenance(t *testing.T) {
 	}
 
 	// Delete removes the atom from all partners.
-	if err := s.Delete(d); err != nil {
+	if err := s.Delete(Scope{}, d); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	for _, a := range []addr.LogicalAddr{a1, a2} {
@@ -173,13 +173,13 @@ func TestBackReferenceMaintenance(t *testing.T) {
 
 func TestUpdateRefDiff(t *testing.T) {
 	s := newSystem(t)
-	a1, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("A")})
-	a2, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("B")})
-	a3, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("C")})
-	d, _ := s.Insert("doc", map[string]atom.Value{"authors": atom.RefSet(a1, a2)})
+	a1, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("A")})
+	a2, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("B")})
+	a3, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("C")})
+	d, _ := s.Insert(Scope{}, "doc", map[string]atom.Value{"authors": atom.RefSet(a1, a2)})
 
 	// Replace {a1,a2} with {a2,a3}.
-	if err := s.Update(d, map[string]atom.Value{"authors": atom.RefSet(a2, a3)}); err != nil {
+	if err := s.Update(Scope{}, d, map[string]atom.Value{"authors": atom.RefSet(a2, a3)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	check := func(a addr.LogicalAddr, want bool) {
@@ -198,7 +198,7 @@ func TestUpdateRefDiff(t *testing.T) {
 func TestAtomTypeScanWithSSA(t *testing.T) {
 	s := newSystem(t)
 	for i := 0; i < 20; i++ {
-		if _, err := s.Insert("doc", map[string]atom.Value{
+		if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 			"pages": atom.Int(int64(i)),
 			"title": atom.Str("t"),
 		}); err != nil {
@@ -239,7 +239,7 @@ func TestAccessPathMaintenance(t *testing.T) {
 	s := newSystem(t)
 	var docs []addr.LogicalAddr
 	for i := 0; i < 10; i++ {
-		d, _ := s.Insert("doc", map[string]atom.Value{"pages": atom.Int(int64(i * 10))})
+		d, _ := s.Insert(Scope{}, "doc", map[string]atom.Value{"pages": atom.Int(int64(i * 10))})
 		docs = append(docs, d)
 	}
 	// Create after the fact: backfill must index existing atoms.
@@ -254,7 +254,7 @@ func TestAccessPathMaintenance(t *testing.T) {
 	}
 
 	// Update repositions the entry.
-	if err := s.Update(docs[5], map[string]atom.Value{"pages": atom.Int(555)}); err != nil {
+	if err := s.Update(Scope{}, docs[5], map[string]atom.Value{"pages": atom.Int(555)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	found, _ = s.AccessPathSearch("doc_pages", []atom.Value{atom.Int(50)})
@@ -267,7 +267,7 @@ func TestAccessPathMaintenance(t *testing.T) {
 	}
 
 	// Delete drops the entry.
-	if err := s.Delete(docs[5]); err != nil {
+	if err := s.Delete(Scope{}, docs[5]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	found, _ = s.AccessPathSearch("doc_pages", []atom.Value{atom.Int(555)})
@@ -276,7 +276,7 @@ func TestAccessPathMaintenance(t *testing.T) {
 	}
 
 	// New inserts are indexed.
-	d, _ := s.Insert("doc", map[string]atom.Value{"pages": atom.Int(42)})
+	d, _ := s.Insert(Scope{}, "doc", map[string]atom.Value{"pages": atom.Int(42)})
 	found, _ = s.AccessPathSearch("doc_pages", []atom.Value{atom.Int(42)})
 	if len(found) != 1 || found[0] != d {
 		t.Fatal("new insert not indexed")
@@ -291,7 +291,7 @@ func TestGridAccessPath(t *testing.T) {
 		t.Fatalf("CreateAccessPath: %v", err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := s.Insert("doc", map[string]atom.Value{
+		if _, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 			"pages": atom.Int(int64(i % 10)),
 			"score": atom.Real(float64(i) / 10),
 		}); err != nil {
@@ -369,13 +369,13 @@ func TestSymmetryQuick(t *testing.T) {
 		for op := 0; op < 120; op++ {
 			switch rng.Intn(6) {
 			case 0:
-				d, err := s.Insert("doc", map[string]atom.Value{"pages": atom.Int(int64(rng.Intn(100)))})
+				d, err := s.Insert(Scope{}, "doc", map[string]atom.Value{"pages": atom.Int(int64(rng.Intn(100)))})
 				if err != nil {
 					return false
 				}
 				docs = append(docs, d)
 			case 1:
-				a, err := s.Insert("author", map[string]atom.Value{"name": atom.Str("x")})
+				a, err := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("x")})
 				if err != nil {
 					return false
 				}
@@ -388,9 +388,9 @@ func TestSymmetryQuick(t *testing.T) {
 				a := authors[rng.Intn(len(authors))]
 				var err error
 				if rng.Intn(2) == 0 {
-					err = s.Connect(d, "authors", a)
+					err = s.Connect(Scope{}, d, "authors", a)
 				} else {
-					err = s.Connect(a, "docs", d)
+					err = s.Connect(Scope{}, a, "docs", d)
 				}
 				if err != nil {
 					return false
@@ -401,7 +401,7 @@ func TestSymmetryQuick(t *testing.T) {
 				}
 				d := docs[rng.Intn(len(docs))]
 				a := authors[rng.Intn(len(authors))]
-				if err := s.Disconnect(d, "authors", a); err != nil {
+				if err := s.Disconnect(Scope{}, d, "authors", a); err != nil {
 					return false
 				}
 			case 4: // scalar update
@@ -409,19 +409,19 @@ func TestSymmetryQuick(t *testing.T) {
 					continue
 				}
 				d := docs[rng.Intn(len(docs))]
-				if err := s.Update(d, map[string]atom.Value{"pages": atom.Int(int64(rng.Intn(100)))}); err != nil {
+				if err := s.Update(Scope{}, d, map[string]atom.Value{"pages": atom.Int(int64(rng.Intn(100)))}); err != nil {
 					return false
 				}
 			case 5: // delete
 				if rng.Intn(2) == 0 && len(docs) > 0 {
 					i := rng.Intn(len(docs))
-					if err := s.Delete(docs[i]); err != nil {
+					if err := s.Delete(Scope{}, docs[i]); err != nil {
 						return false
 					}
 					docs = append(docs[:i], docs[i+1:]...)
 				} else if len(authors) > 0 {
 					i := rng.Intn(len(authors))
-					if err := s.Delete(authors[i]); err != nil {
+					if err := s.Delete(Scope{}, authors[i]); err != nil {
 						return false
 					}
 					authors = append(authors[:i], authors[i+1:]...)

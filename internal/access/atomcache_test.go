@@ -38,7 +38,7 @@ func nodeSystem(t *testing.T, n int) (*System, []addr.LogicalAddr) {
 	}
 	addrs := make([]addr.LogicalAddr, n)
 	for i := range addrs {
-		a, err := s.Insert("node", map[string]atom.Value{
+		a, err := s.Insert(Scope{}, "node", map[string]atom.Value{
 			"n":     atom.Int(int64(i)),
 			"label": atom.Str("node"),
 		})
@@ -124,7 +124,7 @@ func TestAtomCacheInvalidation(t *testing.T) {
 	}
 
 	get(a)
-	if err := s.Update(a, map[string]atom.Value{"n": atom.Int(100)}); err != nil {
+	if err := s.Update(Scope{}, a, map[string]atom.Value{"n": atom.Int(100)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	if v, _ := get(a).Value("n"); v.I != 100 {
@@ -135,7 +135,7 @@ func TestAtomCacheInvalidation(t *testing.T) {
 	// decodes must be refreshed.
 	get(a)
 	get(b)
-	if err := s.Connect(a, "next", b); err != nil {
+	if err := s.Connect(Scope{}, a, "next", b); err != nil {
 		t.Fatalf("Connect: %v", err)
 	}
 	if v, _ := get(a).Value("next"); !v.ContainsRef(b) {
@@ -145,7 +145,7 @@ func TestAtomCacheInvalidation(t *testing.T) {
 		t.Fatalf("after Connect: b.prev = %v, want to contain %v", v, a)
 	}
 
-	if err := s.Disconnect(a, "next", b); err != nil {
+	if err := s.Disconnect(Scope{}, a, "next", b); err != nil {
 		t.Fatalf("Disconnect: %v", err)
 	}
 	if v, _ := get(a).Value("next"); v.ContainsRef(b) {
@@ -156,7 +156,7 @@ func TestAtomCacheInvalidation(t *testing.T) {
 	}
 
 	get(a)
-	if err := s.Delete(a); err != nil {
+	if err := s.Delete(Scope{}, a); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := s.Get(a, nil); !errors.Is(err, ErrNoAtom) {
@@ -238,7 +238,7 @@ func TestAtomCacheConcurrentInvalidation(t *testing.T) {
 		defer wg.Done()
 		for v := int64(1); v <= rounds; v++ {
 			i := int(v) % len(hot)
-			if err := s.Update(hot[i], map[string]atom.Value{"n": atom.Int(v)}); err != nil {
+			if err := s.Update(Scope{}, hot[i], map[string]atom.Value{"n": atom.Int(v)}); err != nil {
 				raceErr.Store(err)
 				return
 			}
@@ -317,11 +317,11 @@ func TestAtomCacheConcurrentConnectDelete(t *testing.T) {
 			if a == b {
 				continue
 			}
-			if err := s.Connect(a, "next", b); err != nil {
+			if err := s.Connect(Scope{}, a, "next", b); err != nil {
 				firstErr.Store(err)
 				return
 			}
-			if err := s.Disconnect(a, "next", b); err != nil {
+			if err := s.Disconnect(Scope{}, a, "next", b); err != nil {
 				firstErr.Store(err)
 				return
 			}
@@ -331,7 +331,7 @@ func TestAtomCacheConcurrentConnectDelete(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, a := range addrs[16:] {
-			if err := s.Delete(a); err != nil {
+			if err := s.Delete(Scope{}, a); err != nil {
 				firstErr.Store(err)
 				return
 			}

@@ -40,7 +40,7 @@ func batchSystem(t *testing.T, n int) (*System, []addr.LogicalAddr) {
 			// Every tenth record spills to a page sequence.
 			text = strings.Repeat("x", 6000)
 		}
-		a, err := s.Insert("item", map[string]atom.Value{
+		a, err := s.Insert(Scope{}, "item", map[string]atom.Value{
 			"n":    atom.Int(int64(i)),
 			"text": atom.Str(text),
 		})
@@ -111,7 +111,7 @@ func TestGetBatchSavesPageFixes(t *testing.T) {
 
 func TestGetBatchUnknownAddr(t *testing.T) {
 	s, addrs := batchSystem(t, 4)
-	if err := s.Delete(addrs[2]); err != nil {
+	if err := s.Delete(Scope{}, addrs[2]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if _, err := s.GetBatch(addrs, nil); !errors.Is(err, ErrNoAtom) {
@@ -186,7 +186,7 @@ func TestShardShrinkKeepsStructurePagesServable(t *testing.T) {
 	if err := s.Schema().ResolveAssociations(); err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if _, err := s.Insert("item", map[string]atom.Value{"n": atom.Int(7)}); err != nil {
+	if _, err := s.Insert(Scope{}, "item", map[string]atom.Value{"n": atom.Int(7)}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 	// The access path's B*-tree lives on a 4K segment; fixing its pages
@@ -223,7 +223,7 @@ func TestScanAddrsAfterPaging(t *testing.T) {
 	}
 	// Deleting mid-page entries must not disturb the paging.
 	for i := 10; i < 15; i++ {
-		if err := s.Delete(addrs[i]); err != nil {
+		if err := s.Delete(Scope{}, addrs[i]); err != nil {
 			t.Fatalf("Delete: %v", err)
 		}
 	}

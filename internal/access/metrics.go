@@ -54,4 +54,10 @@ func (s *System) registerMetrics() {
 	r.CounterFunc("wal_batches", func() uint64 { st, _ := s.WALStats(); return st.Batches })
 	r.CounterFunc("wal_checkpoints", func() uint64 { st, _ := s.WALStats(); return st.Checkpoints })
 	r.CounterFunc("wal_recoveries", func() uint64 { st, _ := s.WALStats(); return st.Recoveries })
+	r.GaugeFunc("wal_checkpoint_failing", func() float64 {
+		if s.WALCheckpointErr() != nil {
+			return 1
+		}
+		return 0
+	})
 }

@@ -16,10 +16,10 @@ func TestSnapshotSeesPreImages(t *testing.T) {
 	sn := s.OpenSnapshot()
 	defer sn.Close()
 
-	if err := s.Update(addrs[0], map[string]atom.Value{"n": atom.Int(100)}); err != nil {
+	if err := s.Update(Scope{}, addrs[0], map[string]atom.Value{"n": atom.Int(100)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if err := s.Delete(addrs[1]); err != nil {
+	if err := s.Delete(Scope{}, addrs[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 
@@ -73,7 +73,7 @@ func TestSnapshotHidesLaterInserts(t *testing.T) {
 	sn := s.OpenSnapshot()
 	defer sn.Close()
 
-	a, err := s.Insert("node", map[string]atom.Value{"n": atom.Int(99)})
+	a, err := s.Insert(Scope{}, "node", map[string]atom.Value{"n": atom.Int(99)})
 	if err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
@@ -98,13 +98,13 @@ func TestSnapshotScanEnumeratesGhosts(t *testing.T) {
 	sn := s.OpenSnapshot()
 	defer sn.Close()
 
-	if err := s.Delete(addrs[2]); err != nil {
+	if err := s.Delete(Scope{}, addrs[2]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if err := s.Delete(addrs[5]); err != nil {
+	if err := s.Delete(Scope{}, addrs[5]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, err := s.Insert("node", map[string]atom.Value{"n": atom.Int(100)}); err != nil {
+	if _, err := s.Insert(Scope{}, "node", map[string]atom.Value{"n": atom.Int(100)}); err != nil {
 		t.Fatalf("Insert: %v", err)
 	}
 
@@ -161,10 +161,10 @@ func TestSnapshotGCDrainsChains(t *testing.T) {
 	}
 
 	sn := s.OpenSnapshot()
-	if err := s.Update(addrs[0], map[string]atom.Value{"n": atom.Int(1)}); err != nil {
+	if err := s.Update(Scope{}, addrs[0], map[string]atom.Value{"n": atom.Int(1)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if err := s.Delete(addrs[1]); err != nil {
+	if err := s.Delete(Scope{}, addrs[1]); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	if got := s.mv.entries.Load(); got == 0 {
@@ -176,7 +176,7 @@ func TestSnapshotGCDrainsChains(t *testing.T) {
 	}
 
 	// Without snapshots, writes prune their own spans immediately.
-	if err := s.Update(addrs[2], map[string]atom.Value{"n": atom.Int(2)}); err != nil {
+	if err := s.Update(Scope{}, addrs[2], map[string]atom.Value{"n": atom.Int(2)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	if got := s.mv.entries.Load(); got != 0 {
@@ -201,7 +201,7 @@ func TestSnapshotConcurrentDML(t *testing.T) {
 		defer wg.Done()
 		for v := int64(1); v <= rounds; v++ {
 			i := int(v) % len(addrs)
-			if err := s.Update(addrs[i], map[string]atom.Value{"n": atom.Int(v)}); err != nil {
+			if err := s.Update(Scope{}, addrs[i], map[string]atom.Value{"n": atom.Int(v)}); err != nil {
 				errc <- err
 				return
 			}
@@ -260,7 +260,7 @@ func TestNegativeCacheProbes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
-	if err := s.Delete(victim); err != nil {
+	if err := s.Delete(Scope{}, victim); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 
@@ -277,7 +277,7 @@ func TestNegativeCacheProbes(t *testing.T) {
 	}
 
 	// Resurrection must kill the negative entry.
-	if err := s.RawResurrect(victim, pre.Values); err != nil {
+	if err := s.RawResurrect(Scope{}, victim, pre.Values); err != nil {
 		t.Fatalf("RawResurrect: %v", err)
 	}
 	if _, err := s.Get(victim, nil); err != nil {
@@ -303,7 +303,7 @@ func TestAtomCacheByteAccounting(t *testing.T) {
 
 	// A very wide atom (large string) charges its real footprint: caching it
 	// under a small budget evicts everything else in its shard.
-	wide, err := s.Insert("node", map[string]atom.Value{
+	wide, err := s.Insert(Scope{}, "node", map[string]atom.Value{
 		"label": atom.Str(string(make([]byte, 64<<10))),
 	})
 	if err != nil {

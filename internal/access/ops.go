@@ -52,8 +52,11 @@ func (a *Atom) Value(name string) (atom.Value, bool) {
 // to values; omitted attributes take their zero value, and the IDENTIFIER is
 // assigned by the system ("it is generated by the access system when an
 // atom is inserted"). Reference values trigger the implicit partner updates
-// that keep associations symmetric.
-func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
+// that keep associations symmetric. Every atom the insert touches is locked
+// and undo-logged through sc.
+func (s *System) Insert(sc Scope, typeName string, values map[string]atom.Value) (addr.LogicalAddr, error) {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeOf(typeName)
 	if err != nil {
 		return 0, err
@@ -92,18 +95,18 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 		}
 	}
 
-	if err := s.hookBeforeWrite(a); err != nil {
+	if err := sc.lock(a); err != nil {
 		s.dir.Release(a)
 		return 0, err
 	}
 
 	// Log the insert ahead of any page write; if a later physical step
 	// fails, the compensating delete makes the logged pair a net no-op.
-	if err := s.walAppend(wal.RecInsert, a, t.Name, nil, vec); err != nil {
+	if err := s.walAppend(sc, wal.RecInsert, a, t.Name, nil, vec); err != nil {
 		s.dir.Release(a)
 		return 0, err
 	}
-	comp := func() { s.walCompensate(wal.RecDelete, a, t.Name, vec, nil) }
+	comp := func() { s.walCompensate(sc, wal.RecDelete, a, t.Name, vec, nil) }
 
 	// Primary record.
 	prim, err := s.primary(t)
@@ -147,10 +150,15 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 		}
 	}
 
+	// The atom now exists with its structures: log its undo before the
+	// partner updates, whose lock conflicts would otherwise leave an insert
+	// that no rollback knows about.
+	sc.logUndo(Inserted, a, nil)
+
 	// Implicit partner updates (back-references).
 	for _, i := range t.RefAttrs() {
 		for _, target := range vec[i].Refs() {
-			if err := s.addBackRef(t, i, a, target); err != nil {
+			if err := s.addBackRef(sc, t, i, a, target); err != nil {
 				comp()
 				return 0, err
 			}
@@ -166,7 +174,6 @@ func (s *System) Insert(typeName string, values map[string]atom.Value) (addr.Log
 			}
 		}
 	}
-	s.hookDidInsert(a)
 	return a, nil
 }
 
@@ -191,7 +198,7 @@ func (s *System) checkRefTargets(t *catalog.AtomType, attrIdx int, v atom.Value)
 
 // addBackRef performs the implicit update on the partner atom: target's
 // back attribute gains a reference to a.
-func (s *System) addBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
+func (s *System) addBackRef(sc Scope, t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
 	_, backAttr, _ := t.Attrs[attrIdx].Type.RefTarget()
 	pt, err := s.typeByID(target.Type())
 	if err != nil {
@@ -212,11 +219,11 @@ func (s *System) addBackRef(t *catalog.AtomType, attrIdx int, a, target addr.Log
 	nv := make([]atom.Value, len(partner.Values))
 	copy(nv, partner.Values)
 	nv[bi] = old.WithRef(a)
-	return s.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
+	return s.updateRaw(sc, pt, target, partner.Values, nv, map[int]bool{bi: true})
 }
 
 // removeBackRef removes a's entry from target's back attribute.
-func (s *System) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
+func (s *System) removeBackRef(sc Scope, t *catalog.AtomType, attrIdx int, a, target addr.LogicalAddr) error {
 	if !s.dir.Exists(target) {
 		return nil // partner already deleted
 	}
@@ -240,7 +247,7 @@ func (s *System) removeBackRef(t *catalog.AtomType, attrIdx int, a, target addr.
 	nv := make([]atom.Value, len(partner.Values))
 	copy(nv, partner.Values)
 	nv[bi] = old.WithoutRef(a)
-	return s.updateRaw(pt, target, partner.Values, nv, map[int]bool{bi: true})
+	return s.updateRaw(sc, pt, target, partner.Values, nv, map[int]bool{bi: true})
 }
 
 // Get reads an atom. attrs selects attributes to materialize (nil = all);
@@ -404,8 +411,14 @@ func (s *System) getFromPartition(t *catalog.AtomType, a addr.LogicalAddr, refs 
 
 // Update modifies the named attributes of atom a. Reference changes imply
 // the partner updates maintaining back-references; redundant records are
-// refreshed by deferred update.
-func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error {
+// refreshed by deferred update. Locks and undo go through sc.
+func (s *System) Update(sc Scope, a addr.LogicalAddr, changes map[string]atom.Value) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
+	return s.update(sc, a, changes)
+}
+
+func (s *System) update(sc Scope, a addr.LogicalAddr, changes map[string]atom.Value) error {
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -452,34 +465,28 @@ func (s *System) Update(a addr.LogicalAddr, changes map[string]atom.Value) error
 		}
 		for x := range newSet {
 			if !oldSet[x] {
-				if err := s.addBackRef(t, i, a, x); err != nil {
+				if err := s.addBackRef(sc, t, i, a, x); err != nil {
 					return err
 				}
 			}
 		}
 		for x := range oldSet {
 			if !newSet[x] {
-				if err := s.removeBackRef(t, i, a, x); err != nil {
+				if err := s.removeBackRef(sc, t, i, a, x); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return s.updateRaw(t, a, cur.Values, nv, changed)
+	return s.updateRaw(sc, t, a, cur.Values, nv, changed)
 }
 
 // updateRaw rewrites the primary record and maintains indexes without any
-// integrity side effects (used by Update and by the implicit partner
-// updates themselves).
-func (s *System) updateRaw(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
-	return s.updateRawInner(t, a, old, nv, changed, true)
-}
-
-func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool, hooked bool) error {
-	if hooked {
-		if err := s.hookBeforeWrite(a); err != nil {
-			return err
-		}
+// integrity side effects (used by Update, by the implicit partner updates
+// themselves and by RawOverwrite).
+func (s *System) updateRaw(sc Scope, t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
+	if err := sc.lock(a); err != nil {
+		return err
 	}
 	// Multi-version write span: the pre-image is installed here, before any
 	// physical record changes, so snapshot readers that observe this write's
@@ -491,10 +498,10 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 	defer s.cacheInvalidate(a)
 	// Log the update ahead of any page write; on a later physical failure
 	// the reversed compensation makes the logged pair a net no-op.
-	if err := s.walAppend(wal.RecUpdate, a, t.Name, old, nv); err != nil {
+	if err := s.walAppend(sc, wal.RecUpdate, a, t.Name, old, nv); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecUpdate, a, t.Name, nv, old) }
+	comp := func() { s.walCompensate(sc, wal.RecUpdate, a, t.Name, nv, old) }
 	// Access paths reposition immediately when their key changed.
 	for _, ap := range s.accessPathsOf(t.Name) {
 		touched := false
@@ -570,15 +577,15 @@ func (s *System) updateRawInner(t *catalog.AtomType, a addr.LogicalAddr, old, nv
 		comp()
 		return err
 	}
-	if hooked {
-		s.hookDidUpdate(a, t.Name, old)
-	}
+	sc.logUndo(Updated, a, old)
 	return nil
 }
 
 // Connect adds target to a's reference attribute attr (and maintains the
 // back-reference). This realizes MQL's component connection.
-func (s *System) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+func (s *System) Connect(sc Scope, a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -591,11 +598,13 @@ func (s *System) Connect(a addr.LogicalAddr, attr string, target addr.LogicalAdd
 	if err != nil {
 		return err
 	}
-	return s.Update(a, map[string]atom.Value{attr: cur.Values[i].WithRef(target)})
+	return s.update(sc, a, map[string]atom.Value{attr: cur.Values[i].WithRef(target)})
 }
 
 // Disconnect removes target from a's reference attribute attr.
-func (s *System) Disconnect(a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+func (s *System) Disconnect(sc Scope, a addr.LogicalAddr, attr string, target addr.LogicalAddr) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -608,13 +617,15 @@ func (s *System) Disconnect(a addr.LogicalAddr, attr string, target addr.Logical
 	if err != nil {
 		return err
 	}
-	return s.Update(a, map[string]atom.Value{attr: cur.Values[i].WithoutRef(target)})
+	return s.update(sc, a, map[string]atom.Value{attr: cur.Values[i].WithoutRef(target)})
 }
 
 // Delete removes atom a: partner atoms drop their back-references
 // (automatic disconnection), all physical records are reclaimed, and the
-// logical address is released.
-func (s *System) Delete(a addr.LogicalAddr) error {
+// logical address is released. Locks and undo go through sc.
+func (s *System) Delete(sc Scope, a addr.LogicalAddr) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -625,29 +636,29 @@ func (s *System) Delete(a addr.LogicalAddr) error {
 	if err != nil {
 		return err
 	}
-	if err := s.hookBeforeWrite(a); err != nil {
+	if err := sc.lock(a); err != nil {
 		return err
 	}
 	// Multi-version write span: snapshot readers keep seeing the deleted
 	// atom's pre-image (and enumerate its address) until no snapshot from
 	// before this delete remains open.
 	defer s.mvBegin(a, cur)()
-	// Deferred like updateRawInner's barrier: even a partially failed
+	// Deferred like updateRaw's barrier: even a partially failed
 	// delete (e.g. a record reclaim error after the directory release) must
 	// drop the cached decode.
 	defer s.cacheInvalidate(a)
 
 	// Log the delete ahead of any page write; a compensating insert voids
 	// the logged pair if a later physical step fails.
-	if err := s.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
+	if err := s.walAppend(sc, wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) }
+	comp := func() { s.walCompensate(sc, wal.RecInsert, a, t.Name, nil, cur.Values) }
 
 	// Implicit disconnection from all partners.
 	for _, i := range t.RefAttrs() {
 		for _, target := range cur.Values[i].Refs() {
-			if err := s.removeBackRef(t, i, a, target); err != nil {
+			if err := s.removeBackRef(sc, t, i, a, target); err != nil {
 				comp()
 				return err
 			}
@@ -733,7 +744,7 @@ func (s *System) Delete(a addr.LogicalAddr) error {
 			}
 		}
 	}
-	s.hookDidDelete(a, t.Name, cur.Values)
+	sc.logUndo(Deleted, a, cur.Values)
 	return nil
 }
 

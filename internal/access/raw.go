@@ -1,102 +1,24 @@
 package access
 
 import (
-	"sync"
-
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
-	"prima/internal/catalog"
 	"prima/internal/storage/wal"
 )
 
-// Hook observes and gates atom mutations. The transaction layer uses it to
-// acquire locks (BeforeWrite) and to build undo logs (Did*). A single hook
-// is installed per system; nil disables hooking.
-type Hook interface {
-	// BeforeWrite is called before any mutation of atom a (insert, update,
-	// delete, including the implicit partner updates of back-reference
-	// maintenance). Returning an error aborts the operation mid-flight;
-	// the caller is expected to roll back via the undo log.
-	BeforeWrite(a addr.LogicalAddr) error
-	// DidInsert reports a successfully inserted atom.
-	DidInsert(a addr.LogicalAddr)
-	// DidUpdate reports a successful update with the pre-image.
-	DidUpdate(a addr.LogicalAddr, typeName string, old []atom.Value)
-	// DidDelete reports a successful delete with the pre-image.
-	DidDelete(a addr.LogicalAddr, typeName string, old []atom.Value)
-}
-
-// hookHolder guards the installed hook.
-type hookHolder struct {
-	mu sync.RWMutex
-	h  Hook
-}
-
-var systemHooks sync.Map // *System -> *hookHolder
-
-func (s *System) holder() *hookHolder {
-	v, _ := systemHooks.LoadOrStore(s, &hookHolder{})
-	return v.(*hookHolder)
-}
-
-// SetHook installs (or clears, with nil) the system's mutation hook.
-func (s *System) SetHook(h Hook) {
-	hold := s.holder()
-	hold.mu.Lock()
-	hold.h = h
-	hold.mu.Unlock()
-}
-
-func (s *System) hookBeforeWrite(a addr.LogicalAddr) error {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h == nil {
-		return nil
-	}
-	return h.BeforeWrite(a)
-}
-
-func (s *System) hookDidInsert(a addr.LogicalAddr) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
-		h.DidInsert(a)
-	}
-}
-
-func (s *System) hookDidUpdate(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
-		h.DidUpdate(a, typeName, old)
-	}
-}
-
-func (s *System) hookDidDelete(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	hold := s.holder()
-	hold.mu.RLock()
-	h := hold.h
-	hold.mu.RUnlock()
-	if h != nil {
-		h.DidDelete(a, typeName, old)
-	}
-}
-
-// --- raw recovery operations --------------------------------------------------
-//
-// The transaction layer's undo applies physical inverses without integrity
-// side effects: every logical mutation (including implicit partner updates)
-// produced its own log entry, so undo handles each atom independently.
+// Raw operations apply physical inverses without integrity side effects:
+// every logical mutation (including implicit partner updates) produced its
+// own undo entry, so rollback and recovery handle each atom independently.
+// Rollback runs them under a scope without an owner (they must neither lock
+// nor log undo for themselves) but with the transaction's id, so their own
+// log records are compensation of that transaction; recovery replay runs
+// them under the zero scope and logs nothing.
 
 // RawOverwrite replaces an atom's values without reference maintenance.
 // Recovery-only: misuse breaks association symmetry.
-func (s *System) RawOverwrite(a addr.LogicalAddr, values []atom.Value) error {
+func (s *System) RawOverwrite(sc Scope, a addr.LogicalAddr, values []atom.Value) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -114,11 +36,13 @@ func (s *System) RawOverwrite(a addr.LogicalAddr, values []atom.Value) error {
 			changed[i] = true
 		}
 	}
-	return s.updateRawUnhooked(t, a, cur.Values, values, changed)
+	return s.updateRaw(sc, t, a, cur.Values, values, changed)
 }
 
 // RawDelete removes an atom without disconnecting partners. Recovery-only.
-func (s *System) RawDelete(a addr.LogicalAddr) error {
+func (s *System) RawDelete(sc Scope, a addr.LogicalAddr) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -131,13 +55,10 @@ func (s *System) RawDelete(a addr.LogicalAddr) error {
 	}
 	defer s.mvBegin(a, cur)()
 	defer s.cacheInvalidate(a)
-	// Raw operations run during transaction rollback, whose page mutations
-	// must be logged like any others (as compensation under the same
-	// transaction); during recovery replay walAppend is a no-op.
-	if err := s.walAppend(wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
+	if err := s.walAppend(sc, wal.RecDelete, a, t.Name, cur.Values, nil); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecInsert, a, t.Name, nil, cur.Values) }
+	comp := func() { s.walCompensate(sc, wal.RecInsert, a, t.Name, nil, cur.Values) }
 	for _, ap := range s.accessPathsOf(t.Name) {
 		if err := s.indexDelete(ap, cur.Values, a); err != nil {
 			comp()
@@ -198,7 +119,9 @@ func (s *System) RawDelete(a addr.LogicalAddr) error {
 
 // RawResurrect re-creates a previously deleted atom under its old logical
 // address with the given pre-image. Recovery-only.
-func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value) error {
+func (s *System) RawResurrect(sc Scope, a addr.LogicalAddr, values []atom.Value) error {
+	s.wlatch.Lock()
+	defer s.wlatch.Unlock()
 	t, err := s.typeByID(a.Type())
 	if err != nil {
 		return err
@@ -208,10 +131,10 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value) error {
 	// Snapshot readers from before the resurrection must keep seeing the
 	// address as absent: install a tombstone pre-image before reviving.
 	defer s.mvBegin(a, nil)()
-	if err := s.walAppend(wal.RecInsert, a, t.Name, nil, values); err != nil {
+	if err := s.walAppend(sc, wal.RecInsert, a, t.Name, nil, values); err != nil {
 		return err
 	}
-	comp := func() { s.walCompensate(wal.RecDelete, a, t.Name, values, nil) }
+	comp := func() { s.walCompensate(sc, wal.RecDelete, a, t.Name, values, nil) }
 	if err := s.dir.Revive(a); err != nil {
 		comp()
 		return err
@@ -266,10 +189,4 @@ func (s *System) RawResurrect(a addr.LogicalAddr, values []atom.Value) error {
 		}
 	}
 	return nil
-}
-
-// updateRawUnhooked is updateRaw without hook invocation (undo must not log
-// itself).
-func (s *System) updateRawUnhooked(t *catalog.AtomType, a addr.LogicalAddr, old, nv []atom.Value, changed map[int]bool) error {
-	return s.updateRawInner(t, a, old, nv, changed, false)
 }

@@ -41,6 +41,12 @@ type Container struct {
 	seg  *segment.Segment
 	pool *buffer.Pool
 
+	// latch guards the bytes of the container's slotted pages, which the
+	// buffer pool does not latch: readers hold it shared while they copy
+	// records out of a page, writers exclusively while they change one.
+	// Lock order: latch before mu.
+	latch sync.RWMutex
+
 	mu    sync.Mutex
 	pages []uint32       // data pages in scan order
 	fsi   map[uint32]int // free-space inventory (approximate, in-memory)
@@ -150,6 +156,8 @@ func (c *Container) insertSpilled(rec []byte) (addr.RID, error) {
 
 // insertStored places an already-prefixed byte string into a page with room.
 func (c *Container) insertStored(stored []byte) (addr.RID, error) {
+	c.latch.Lock()
+	defer c.latch.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -227,12 +235,15 @@ func (c *Container) Read(rid addr.RID) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record: read %v: %w", rid, err)
 	}
+	c.latch.RLock()
 	stored, err := h.Page().Read(int(rid.Slot))
 	if err != nil {
+		c.latch.RUnlock()
 		h.Release()
 		return nil, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 	}
 	out, spillPage, err := c.decodeStored(stored)
+	c.latch.RUnlock()
 	h.Release()
 	if err != nil {
 		return nil, err
@@ -273,14 +284,17 @@ func (c *Container) ReadBatch(rids []addr.RID) ([][]byte, error) {
 			return nil, fmt.Errorf("record: read page %d: %w", no, err)
 		}
 		pg := h.Page()
+		c.latch.RLock()
 		for _, i := range byPage[no] {
 			stored, err := pg.Read(int(rids[i].Slot))
 			if err != nil {
+				c.latch.RUnlock()
 				h.Release()
 				return nil, fmt.Errorf("%w: %v (%v)", ErrNotFound, rids[i], err)
 			}
 			data, spill, err := c.decodeStored(stored)
 			if err != nil {
+				c.latch.RUnlock()
 				h.Release()
 				return nil, err
 			}
@@ -290,6 +304,7 @@ func (c *Container) ReadBatch(rids []addr.RID) ([][]byte, error) {
 				out[i] = data
 			}
 		}
+		c.latch.RUnlock()
 		h.Release()
 	}
 	// Spilled records read their page sequences after the slotted page is
@@ -330,41 +345,16 @@ func (c *Container) decodeStored(stored []byte) ([]byte, uint32, error) {
 // Update replaces the record at rid. The record may move; the (possibly
 // new) address is returned and the caller must update the directory.
 func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
-	// Resolve the current stub first to free any old spill.
-	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
+	oldSpill, done, err := c.updateInPlace(rid, rec)
 	if err != nil {
-		return addr.RID{}, fmt.Errorf("record: update %v: %w", rid, err)
-	}
-	pg := h.Page()
-	stored, err := pg.Read(int(rid.Slot))
-	if err != nil {
-		h.Release()
-		return addr.RID{}, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
-	}
-	_, oldSpill, err := c.decodeStored(stored)
-	if err != nil {
-		h.Release()
 		return addr.RID{}, err
 	}
-
+	if done {
+		c.freeSpill(oldSpill)
+		return rid, nil
+	}
 	if len(rec)+1 <= c.stubLimit() {
-		newStored := make([]byte, 0, len(rec)+1)
-		newStored = append(newStored, flagInline)
-		newStored = append(newStored, rec...)
-		if err := pg.Update(int(rid.Slot), newStored); err == nil {
-			h.MarkDirty()
-			c.mu.Lock()
-			c.fsi[rid.Page] = pg.FreeSpace()
-			c.mu.Unlock()
-			h.Release()
-			c.freeSpill(oldSpill)
-			return rid, nil
-		} else if !errors.Is(err, page.ErrNoSpace) {
-			h.Release()
-			return addr.RID{}, fmt.Errorf("record: update in place: %w", err)
-		}
 		// Page cannot hold the new version: move the record.
-		h.Release()
 		if err := c.Delete(rid); err != nil {
 			return addr.RID{}, err
 		}
@@ -372,7 +362,6 @@ func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
 	}
 
 	// New version spills.
-	h.Release()
 	if oldSpill != 0 {
 		// Rewrite the existing sequence; the stub may need updating if the
 		// sequence moved.
@@ -403,6 +392,44 @@ func (c *Container) Update(rid addr.RID, rec []byte) (addr.RID, error) {
 	return rid, nil
 }
 
+// updateInPlace resolves the record's current stub and, when the new
+// version is inline and still fits the record's page, rewrites it there.
+// It reports the old spill header (0 = none) and whether it rewrote the
+// record.
+func (c *Container) updateInPlace(rid addr.RID, rec []byte) (oldSpill uint32, done bool, err error) {
+	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
+	if err != nil {
+		return 0, false, fmt.Errorf("record: update %v: %w", rid, err)
+	}
+	defer h.Release()
+	c.latch.Lock()
+	defer c.latch.Unlock()
+	pg := h.Page()
+	stored, err := pg.Read(int(rid.Slot))
+	if err != nil {
+		return 0, false, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
+	}
+	if _, oldSpill, err = c.decodeStored(stored); err != nil {
+		return 0, false, err
+	}
+	if len(rec)+1 > c.stubLimit() {
+		return oldSpill, false, nil
+	}
+	newStored := make([]byte, 0, len(rec)+1)
+	newStored = append(newStored, flagInline)
+	newStored = append(newStored, rec...)
+	if err := pg.Update(int(rid.Slot), newStored); errors.Is(err, page.ErrNoSpace) {
+		return oldSpill, false, nil
+	} else if err != nil {
+		return 0, false, fmt.Errorf("record: update in place: %w", err)
+	}
+	h.MarkDirty()
+	c.mu.Lock()
+	c.fsi[rid.Page] = pg.FreeSpace()
+	c.mu.Unlock()
+	return oldSpill, true, nil
+}
+
 func (c *Container) pointStubAt(rid addr.RID, headerPage uint32) error {
 	h, err := c.pool.Fix(segment.PageID{Seg: c.seg.ID(), No: rid.Page})
 	if err != nil {
@@ -412,6 +439,8 @@ func (c *Container) pointStubAt(rid addr.RID, headerPage uint32) error {
 	var stub [5]byte
 	stub[0] = flagSpilled
 	binary.BigEndian.PutUint32(stub[1:], headerPage)
+	c.latch.Lock()
+	defer c.latch.Unlock()
 	if err := h.Page().Update(int(rid.Slot), stub[:]); err != nil {
 		return fmt.Errorf("record: update spill stub: %w", err)
 	}
@@ -434,29 +463,39 @@ func (c *Container) Delete(rid addr.RID) error {
 	if err != nil {
 		return fmt.Errorf("record: delete %v: %w", rid, err)
 	}
-	pg := h.Page()
+	spill, err := c.deleteSlot(h.Page(), rid)
+	if err == nil {
+		h.MarkDirty()
+	}
+	h.Release()
+	if err != nil {
+		return err
+	}
+	c.freeSpill(spill)
+	return nil
+}
+
+// deleteSlot removes rid's slot from its fixed page pg and returns the
+// record's spill header (0 = none).
+func (c *Container) deleteSlot(pg page.Page, rid addr.RID) (uint32, error) {
+	c.latch.Lock()
+	defer c.latch.Unlock()
 	stored, err := pg.Read(int(rid.Slot))
 	if err != nil {
-		h.Release()
-		return fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
+		return 0, fmt.Errorf("%w: %v (%v)", ErrNotFound, rid, err)
 	}
 	_, spill, err := c.decodeStored(stored)
 	if err != nil {
-		h.Release()
-		return err
+		return 0, err
 	}
 	if err := pg.Delete(int(rid.Slot)); err != nil {
-		h.Release()
-		return fmt.Errorf("record: delete: %w", err)
+		return 0, fmt.Errorf("record: delete: %w", err)
 	}
-	h.MarkDirty()
 	c.mu.Lock()
 	c.fsi[rid.Page] = pg.FreeSpace()
 	c.count--
 	c.mu.Unlock()
-	h.Release()
-	c.freeSpill(spill)
-	return nil
+	return spill, nil
 }
 
 // Scan calls fn for every record in page/slot order. The record slice is
@@ -480,6 +519,7 @@ func (c *Container) Scan(fn func(rid addr.RID, rec []byte) bool) error {
 		}
 		var items []item
 		var decodeErr error
+		c.latch.RLock()
 		pg.ForEach(func(slot int, stored []byte) bool {
 			data, spill, err := c.decodeStored(stored)
 			if err != nil {
@@ -489,6 +529,7 @@ func (c *Container) Scan(fn func(rid addr.RID, rec []byte) bool) error {
 			items = append(items, item{slot, data, spill})
 			return true
 		})
+		c.latch.RUnlock()
 		h.Release()
 		if decodeErr != nil {
 			return decodeErr

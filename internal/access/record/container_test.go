@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -338,6 +339,69 @@ func TestContainerQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Readers copy records out of pages while writers insert, update in place
+// and delete records on the same pages: every read sees a whole record
+// (run it with -race to check the page latch).
+func TestConcurrentReadersAndWriters(t *testing.T) {
+	c := newContainer(t, device.B1K)
+	stable := map[addr.RID][]byte{}
+	var rids []addr.RID
+	for i := 0; i < 40; i++ {
+		rec := bytes.Repeat([]byte{byte(i)}, 20)
+		rid, err := c.Insert(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stable[rid] = rec
+		rids = append(rids, rid)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rid, err := c.Insert(bytes.Repeat([]byte{byte(w)}, 10))
+				if err == nil {
+					_, err = c.Update(rid, bytes.Repeat([]byte{byte(w + 1)}, 10))
+				}
+				if err == nil {
+					err = c.Delete(rid)
+				}
+				if err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				recs, err := c.ReadBatch(rids)
+				if err != nil {
+					t.Errorf("ReadBatch: %v", err)
+					return
+				}
+				for j, rid := range rids {
+					if !bytes.Equal(recs[j], stable[rid]) {
+						t.Errorf("ReadBatch %v: got %v", rid, recs[j])
+						return
+					}
+				}
+				rid := rids[i%len(rids)]
+				if got, err := c.Read(rid); err != nil || !bytes.Equal(got, stable[rid]) {
+					t.Errorf("Read %v = %v, %v", rid, got, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func BenchmarkContainerInsert(b *testing.B) {

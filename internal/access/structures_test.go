@@ -12,7 +12,7 @@ func insertDocs(t testing.TB, s *System, n int) []addr.LogicalAddr {
 	t.Helper()
 	var out []addr.LogicalAddr
 	for i := 0; i < n; i++ {
-		d, err := s.Insert("doc", map[string]atom.Value{
+		d, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 			"title": atom.Str("doc"),
 			"pages": atom.Int(int64((i * 37) % 100)), // scrambled
 			"score": atom.Real(float64(i)),
@@ -130,7 +130,7 @@ func TestDeferredUpdatePropagation(t *testing.T) {
 
 	// A title update touches the partition (title ∈ partition) and the
 	// sort-order record (full copy), but not the sort key.
-	if err := s.Update(docs[0], map[string]atom.Value{"title": atom.Str("updated")}); err != nil {
+	if err := s.Update(Scope{}, docs[0], map[string]atom.Value{"title": atom.Str("updated")}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	if s.PendingDeferred() == 0 {
@@ -167,7 +167,7 @@ func TestDeferredUpdatePropagation(t *testing.T) {
 
 	// A score update (not in partition attrs) leaves the partition valid.
 	before := s.PendingDeferred()
-	if err := s.Update(docs[1], map[string]atom.Value{"score": atom.Real(99)}); err != nil {
+	if err := s.Update(Scope{}, docs[1], map[string]atom.Value{"score": atom.Real(99)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	refs, _ = s.Directory().Lookup(docs[1])
@@ -190,7 +190,7 @@ func TestSortKeyUpdateRepositionsImmediately(t *testing.T) {
 	// Move docs[0] to the very top of the order. Even though its record
 	// copy is refreshed lazily, the scan must already deliver the new
 	// position AND the new value (stale copy falls back to primary).
-	if err := s.Update(docs[0], map[string]atom.Value{"pages": atom.Int(100000)}); err != nil {
+	if err := s.Update(Scope{}, docs[0], map[string]atom.Value{"pages": atom.Int(100000)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	var lastAddr addr.LogicalAddr
@@ -272,13 +272,13 @@ func clusterSystem(t testing.TB) (*System, []addr.LogicalAddr) {
 	// Three parents with 4 kids each.
 	var parents []addr.LogicalAddr
 	for p := 0; p < 3; p++ {
-		pa, err := s.Insert("parent", map[string]atom.Value{"name": atom.Str("p")})
+		pa, err := s.Insert(Scope{}, "parent", map[string]atom.Value{"name": atom.Str("p")})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parents = append(parents, pa)
 		for k := 0; k < 4; k++ {
-			if _, err := s.Insert("kid", map[string]atom.Value{
+			if _, err := s.Insert(Scope{}, "kid", map[string]atom.Value{
 				"n":      atom.Int(int64(p*10 + k)),
 				"parent": atom.Ref(pa),
 			}); err != nil {
@@ -346,7 +346,7 @@ func TestClusterLifecycle(t *testing.T) {
 
 	// Updating a member invalidates the occurrence; the next scan
 	// transparently rebuilds and sees the new value.
-	if err := s.Update(kids[0], map[string]atom.Value{"n": atom.Int(777)}); err != nil {
+	if err := s.Update(Scope{}, kids[0], map[string]atom.Value{"n": atom.Int(777)}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
 	found := false
@@ -361,7 +361,7 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 
 	// New root atoms get occurrences.
-	p4, err := s.Insert("parent", map[string]atom.Value{"name": atom.Str("late")})
+	p4, err := s.Insert(Scope{}, "parent", map[string]atom.Value{"name": atom.Str("late")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 
 	// Deleting a root drops its occurrence.
-	if err := s.Delete(p4); err != nil {
+	if err := s.Delete(Scope{}, p4); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
 	roots, _ = s.ClusterRoots("pc")
@@ -380,7 +380,7 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 
 	// Deleting a member rebuilds the cluster without it.
-	if err := s.Delete(kids[1]); err != nil {
+	if err := s.Delete(Scope{}, kids[1]); err != nil {
 		t.Fatalf("Delete kid: %v", err)
 	}
 	if err := s.PropagateDeferred(); err != nil {
@@ -430,10 +430,10 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	au, _ := s.Insert("author", map[string]atom.Value{"name": atom.Str("Sikeler")})
+	au, _ := s.Insert(Scope{}, "author", map[string]atom.Value{"name": atom.Str("Sikeler")})
 	var docs []addr.LogicalAddr
 	for i := 0; i < 20; i++ {
-		d, err := s.Insert("doc", map[string]atom.Value{
+		d, err := s.Insert(Scope{}, "doc", map[string]atom.Value{
 			"title":   atom.Str("persisted"),
 			"pages":   atom.Int(int64(i)),
 			"authors": atom.RefSet(au),
@@ -504,7 +504,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("partition read after reopen = %v", v)
 	}
 	// Inserts continue without address collisions.
-	d, err := s2.Insert("doc", map[string]atom.Value{"pages": atom.Int(999)})
+	d, err := s2.Insert(Scope{}, "doc", map[string]atom.Value{"pages": atom.Int(999)})
 	if err != nil {
 		t.Fatalf("Insert after reopen: %v", err)
 	}
@@ -536,9 +536,9 @@ func TestClusterPersistence(t *testing.T) {
 	if err := s.Schema().ResolveAssociations(); err != nil {
 		t.Fatal(err)
 	}
-	pa, _ := s.Insert("parent", map[string]atom.Value{"name": atom.Str("p")})
+	pa, _ := s.Insert(Scope{}, "parent", map[string]atom.Value{"name": atom.Str("p")})
 	for k := 0; k < 3; k++ {
-		s.Insert("kid", map[string]atom.Value{"n": atom.Int(int64(k)), "parent": atom.Ref(pa)})
+		s.Insert(Scope{}, "kid", map[string]atom.Value{"n": atom.Int(int64(k)), "parent": atom.Ref(pa)})
 	}
 	if err := s.CreateCluster(clusterDef("pc")); err != nil {
 		t.Fatal(err)

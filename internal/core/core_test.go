@@ -42,7 +42,7 @@ func mustQuery(t testing.TB, e *core.Engine, q string) *core.Result {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, core.Request{})
 	if err != nil {
 		t.Fatalf("execute %q: %v", q, err)
 	}
@@ -116,13 +116,13 @@ func TestRecursionCycleSafety(t *testing.T) {
 	// Build a cycle: s1 -> s2 -> s3 -> s1 through sub.
 	res := mustQuery(t, e, `INSERT INTO solid (solid_no) VALUES (1), (2), (3)`)
 	a1, a2, a3 := res.Inserted[0], res.Inserted[1], res.Inserted[2]
-	if err := sys.Connect(a1, "sub", a2); err != nil {
+	if err := sys.Connect(access.Scope{}, a1, "sub", a2); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Connect(a2, "sub", a3); err != nil {
+	if err := sys.Connect(access.Scope{}, a2, "sub", a3); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Connect(a3, "sub", a1); err != nil {
+	if err := sys.Connect(access.Scope{}, a3, "sub", a1); err != nil {
 		t.Fatal(err)
 	}
 	r := mustQuery(t, e, `SELECT ALL FROM piece_list WHERE piece_list(0).solid_no = 1`)
@@ -272,7 +272,7 @@ func TestOptimizerDirectRootAccess(t *testing.T) {
 	if plan.AccessKind != "direct" || plan.DirectRoot != a {
 		t.Fatalf("plan chose %s/%v, want direct/%v", plan.AccessKind, plan.DirectRoot, a)
 	}
-	r2, err := e.Execute(stmt)
+	r2, err := e.Execute(stmt, core.Request{})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -315,7 +315,7 @@ func TestOptimizerChoosesAccessPath(t *testing.T) {
 		t.Fatalf("access path roots = %v, %v", roots, err)
 	}
 	// Result identical to the scan-based plan.
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, core.Request{})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -336,7 +336,7 @@ func TestOptimizerChoosesCluster(t *testing.T) {
 	if plan.AccessKind != "cluster" || plan.Cluster != "brep_cl" {
 		t.Fatalf("plan chose %s, want cluster brep_cl", plan.AccessKind)
 	}
-	r, err := e.Execute(stmt)
+	r, err := e.Execute(stmt, core.Request{})
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -446,7 +446,7 @@ func TestSemanticErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", q, err)
 		}
-		if _, err := e.Execute(stmt); err == nil {
+		if _, err := e.Execute(stmt, core.Request{}); err == nil {
 			t.Errorf("Execute(%q) succeeded, want error", q)
 		}
 	}
@@ -489,11 +489,11 @@ func TestCheckIntegrityStatement(t *testing.T) {
 	mustQuery(t, e, `CHECK INTEGRITY brep`)
 
 	// A brep with too few faces (cardinality (4,VAR)) fails the check.
-	if _, err := e.System().Insert("brep", nil); err != nil {
+	if _, err := e.System().Insert(access.Scope{}, "brep", nil); err != nil {
 		t.Fatal(err)
 	}
 	stmt, _ := mql.ParseOne(`CHECK INTEGRITY brep`)
-	if _, err := e.Execute(stmt); err == nil {
+	if _, err := e.Execute(stmt, core.Request{}); err == nil {
 		t.Fatal("cardinality violation not detected")
 	}
 }

@@ -300,39 +300,42 @@ type Result struct {
 	Message   string
 }
 
-// execCtx carries the per-request execution context down the statement
-// dispatch: the pinned snapshot epoch (nil = current), the request trace
-// (nil = untraced — every span operation no-ops), and the script parse time
-// so EXPLAIN ANALYZE can report the parse stage it arrived through.
+// Request is what one script run takes from its caller.
+type Request struct {
+	// Scope is the write scope every DML statement runs under: its lock
+	// owner, undo sink and log transaction id. The zero scope writes
+	// directly, with no locks and no undo.
+	Scope access.Scope
+	// Epoch, when non-nil, pins every SELECT to that snapshot epoch, which
+	// the caller must hold open through a live snapshot (the transaction
+	// layer pins one at Begin). DML always runs against current state —
+	// writes cannot apply to history.
+	Epoch *uint64
+	// Trace records the parse/plan/assemble/apply stages as child spans of
+	// its root (nil = untraced — every span operation no-ops).
+	Trace *obs.Trace
+}
+
+// execCtx carries the request down the statement dispatch, plus the script
+// parse time so EXPLAIN ANALYZE can report the parse stage it arrived
+// through.
 type execCtx struct {
-	epoch   *uint64
-	tr      *obs.Trace
+	Request
 	parseNs int64
 }
 
-// ExecuteScript parses and executes a semicolon-separated MQL script,
+// ExecuteScript is Run with the zero Request: direct writes, current
+// snapshot, untraced. It suits tools and tests that own the system outright.
+func (e *Engine) ExecuteScript(src string) ([]*Result, error) {
+	return e.Run(src, Request{})
+}
+
+// Run parses and executes a semicolon-separated MQL script under rq,
 // returning one result per statement. Single-statement SELECT, DELETE and
 // MODIFY scripts are served through the plan cache: a repeated statement
 // text skips parsing and planning entirely and goes straight to execution.
-func (e *Engine) ExecuteScript(src string) ([]*Result, error) {
-	return e.executeScript(src, execCtx{})
-}
-
-// ExecuteScriptTraced is ExecuteScript recording parse/plan/assemble/apply
-// spans under tr's root span (nil tr is ExecuteScript).
-func (e *Engine) ExecuteScriptTraced(src string, tr *obs.Trace) ([]*Result, error) {
-	return e.executeScript(src, execCtx{tr: tr})
-}
-
-// ExecuteScriptAt runs the script with every SELECT reading at the given
-// snapshot epoch, which the caller must hold open through a live snapshot
-// (the transaction layer pins one at Begin). DML statements always run
-// against current state — writes cannot apply to history.
-func (e *Engine) ExecuteScriptAt(src string, epoch uint64) ([]*Result, error) {
-	return e.executeScript(src, execCtx{epoch: &epoch})
-}
-
-func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
+func (e *Engine) Run(src string, rq Request) ([]*Result, error) {
+	ctx := execCtx{Request: rq}
 	var cfg planConfig
 	var key string
 	if maybeCacheable(src) {
@@ -343,11 +346,11 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 		hit := true
 		switch v := e.plans.get(key).(type) {
 		case *Plan:
-			ctx.tr.SetAttr("plan_cache", "hit")
+			ctx.Trace.SetAttr("plan_cache", "hit")
 			r, err = e.runSelect(v, ctx)
 		case *cachedDML:
-			ctx.tr.SetAttr("plan_cache", "hit")
-			r, err = e.runDML(v, ctx.tr)
+			ctx.Trace.SetAttr("plan_cache", "hit")
+			r, err = e.runDML(v, ctx)
 		default:
 			hit = false
 		}
@@ -358,7 +361,7 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 			return []*Result{r}, nil
 		}
 	}
-	psp := ctx.tr.Root().Child("parse")
+	psp := ctx.Trace.Root().Child("parse")
 	parseStart := time.Now()
 	stmts, err := mql.Parse(src)
 	ctx.parseNs = time.Since(parseStart).Nanoseconds()
@@ -376,21 +379,21 @@ func (e *Engine) executeScript(src string, ctx execCtx) ([]*Result, error) {
 			switch v := s.(type) {
 			case *mql.Select:
 				var p *Plan
-				if p, err = e.planStage(ctx.tr, func() (*Plan, error) { return e.planSelect(v, cfg) }); err == nil {
+				if p, err = e.planStage(ctx.Trace, func() (*Plan, error) { return e.planSelect(v, cfg) }); err == nil {
 					e.plans.putMiss(key, p)
 					r, err = e.runSelect(p, ctx)
 				}
 			case *mql.Delete:
 				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareDelete(v, cfg) }); err == nil {
+				if c, err = e.prepareDMLStage(ctx.Trace, func() (*cachedDML, error) { return e.prepareDelete(v, cfg) }); err == nil {
 					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx.tr)
+					r, err = e.runDML(c, ctx)
 				}
 			case *mql.Modify:
 				var c *cachedDML
-				if c, err = e.prepareDMLStage(ctx.tr, func() (*cachedDML, error) { return e.prepareModify(v, cfg) }); err == nil {
+				if c, err = e.prepareDMLStage(ctx.Trace, func() (*cachedDML, error) { return e.prepareModify(v, cfg) }); err == nil {
 					e.plans.putMiss(key, c)
-					r, err = e.runDML(c, ctx.tr)
+					r, err = e.runDML(c, ctx)
 				}
 			default:
 				r, err = e.execute(s, ctx)
@@ -464,14 +467,14 @@ func annotatePlanSpan(sp *obs.Span, p *Plan) {
 }
 
 // runSelect opens a cursor over a prepared plan and drains it; a non-nil
-// ctx.epoch pins the cursor to that snapshot epoch instead of the current
+// ctx.Epoch pins the cursor to that snapshot epoch instead of the current
 // one. When the request is traced, the whole drain runs under an "assemble"
 // span that carries the plan facts and the read-path counters.
 func (e *Engine) runSelect(p *Plan, ctx execCtx) (*Result, error) {
-	sp := ctx.tr.Root().Child("assemble")
+	sp := ctx.Trace.Root().Child("assemble")
 	annotatePlanSpan(sp, p)
 	defer sp.End()
-	cur, err := p.openTraced(ctx.epoch, sp)
+	cur, err := p.openTraced(ctx.Epoch, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -483,8 +486,10 @@ func (e *Engine) runSelect(p *Plan, ctx execCtx) (*Result, error) {
 	return &Result{Kind: "molecules", Molecules: mols, Count: len(mols)}, nil
 }
 
-// Execute runs a single parsed statement.
-func (e *Engine) Execute(stmt mql.Stmt) (*Result, error) { return e.execute(stmt, execCtx{}) }
+// Execute runs a single parsed statement under rq.
+func (e *Engine) Execute(stmt mql.Stmt, rq Request) (*Result, error) {
+	return e.execute(stmt, execCtx{Request: rq})
+}
 
 func (e *Engine) execute(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 	res, err := e.executeInner(stmt, ctx)
@@ -593,7 +598,7 @@ func (e *Engine) executeInner(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 		}), "atom cluster "+s.Name+" created")
 
 	case *mql.Select:
-		plan, err := e.planStage(ctx.tr, func() (*Plan, error) { return e.PlanSelect(s) })
+		plan, err := e.planStage(ctx.Trace, func() (*Plan, error) { return e.PlanSelect(s) })
 		if err != nil {
 			return nil, err
 		}
@@ -603,19 +608,19 @@ func (e *Engine) executeInner(stmt mql.Stmt, ctx execCtx) (*Result, error) {
 		return e.execExplain(s, ctx)
 
 	case *mql.Insert:
-		return e.execInsert(s, ctx.tr)
+		return e.execInsert(s, ctx)
 
 	case *mql.Delete:
-		return e.execDelete(s, ctx.tr)
+		return e.execDelete(s, ctx)
 
 	case *mql.Modify:
-		return e.execModify(s, ctx.tr)
+		return e.execModify(s, ctx)
 
 	case *mql.Connect:
-		return e.execConnect(s.From, s.To, s.Via, true)
+		return e.execConnect(s.From, s.To, s.Via, true, ctx)
 
 	case *mql.Disconnect:
-		return e.execConnect(s.From, s.To, s.Via, false)
+		return e.execConnect(s.From, s.To, s.Via, false, ctx)
 
 	case *mql.CheckIntegrity:
 		if err := e.ensureResolved(); err != nil {
@@ -644,12 +649,12 @@ func okResult(err error, msg string) (*Result, error) {
 	return &Result{Kind: "ok", Message: msg}, nil
 }
 
-func (e *Engine) execInsert(s *mql.Insert, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execInsert(s *mql.Insert, ctx execCtx) (*Result, error) {
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
-	sp := e.applySpan(tr)
-	defer e.endApplySpan(sp)
+	sc, sp := ctx.apply()
+	defer sp.End()
 	res := &Result{Kind: "inserted"}
 	for _, row := range s.Rows {
 		values := map[string]atom.Value{}
@@ -660,7 +665,7 @@ func (e *Engine) execInsert(s *mql.Insert, tr *obs.Trace) (*Result, error) {
 			}
 			values[attr] = v
 		}
-		a, err := e.sys.Insert(s.AtomType, values)
+		a, err := e.sys.Insert(sc, s.AtomType, values)
 		if err != nil {
 			return nil, err
 		}
@@ -709,28 +714,21 @@ func (e *Engine) prepareModify(s *mql.Modify, cfg planConfig) (*cachedDML, error
 	return &cachedDML{kind: "modify", plan: plan, changes: changes}, nil
 }
 
-// applySpan opens the "apply" span of a mutating statement and installs it
-// as the write-ahead log's byte-attribution sink; endApplySpan removes the
-// sink and closes the span. Both are nil-safe for untraced requests.
-func (e *Engine) applySpan(tr *obs.Trace) *obs.Span {
-	sp := tr.Root().Child("apply")
-	if sp != nil {
-		e.sys.SetWALTraceSink(sp)
-	}
-	return sp
-}
-
-func (e *Engine) endApplySpan(sp *obs.Span) {
-	if sp != nil {
-		e.sys.SetWALTraceSink(nil)
-		sp.End()
-	}
+// apply opens the "apply" span of a mutating statement and returns the
+// request's write scope charged to it, so the log bytes the statement
+// appends land on its own span whatever runs concurrently. The span is nil
+// for untraced requests.
+func (ctx execCtx) apply() (access.Scope, *obs.Span) {
+	sp := ctx.Trace.Root().Child("apply")
+	sc := ctx.Scope
+	sc.Span = sp
+	return sc, sp
 }
 
 // runDML executes a prepared DELETE or MODIFY. The qualification read runs
 // under an "assemble" span like a SELECT; the mutations run under "apply".
-func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
-	asp := tr.Root().Child("assemble")
+func (e *Engine) runDML(c *cachedDML, ctx execCtx) (*Result, error) {
+	asp := ctx.Trace.Root().Child("assemble")
 	annotatePlanSpan(asp, c.plan)
 	cur, err := c.plan.openTraced(nil, asp)
 	if err != nil {
@@ -743,8 +741,8 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := e.applySpan(tr)
-	defer e.endApplySpan(sp)
+	sc, sp := ctx.apply()
+	defer sp.End()
 	if c.kind == "delete" {
 		deleted := map[addr.LogicalAddr]bool{}
 		for _, m := range mols {
@@ -752,7 +750,7 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 				if deleted[a] || !e.sys.Directory().Exists(a) {
 					continue
 				}
-				if err := e.sys.Delete(a); err != nil {
+				if err := e.sys.Delete(sc, a); err != nil {
 					return nil, err
 				}
 				deleted[a] = true
@@ -762,7 +760,7 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 	}
 	n := 0
 	for _, m := range mols {
-		if err := e.sys.Update(m.Root.Addr(), c.changes); err != nil {
+		if err := e.sys.Update(sc, m.Root.Addr(), c.changes); err != nil {
 			return nil, err
 		}
 		n++
@@ -773,23 +771,23 @@ func (e *Engine) runDML(c *cachedDML, tr *obs.Trace) (*Result, error) {
 // execDelete deletes all component atoms of every qualified molecule
 // ("removal of single components as well as of whole component sets,
 // thereby automatically disconnecting these parts").
-func (e *Engine) execDelete(s *mql.Delete, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execDelete(s *mql.Delete, ctx execCtx) (*Result, error) {
 	c, err := e.prepareDelete(s, e.planConfig())
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, tr)
+	return e.runDML(c, ctx)
 }
 
-func (e *Engine) execModify(s *mql.Modify, tr *obs.Trace) (*Result, error) {
+func (e *Engine) execModify(s *mql.Modify, ctx execCtx) (*Result, error) {
 	c, err := e.prepareModify(s, e.planConfig())
 	if err != nil {
 		return nil, err
 	}
-	return e.runDML(c, tr)
+	return e.runDML(c, ctx)
 }
 
-func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool) (*Result, error) {
+func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool, ctx execCtx) (*Result, error) {
 	if err := e.ensureResolved(); err != nil {
 		return nil, err
 	}
@@ -804,10 +802,12 @@ func (e *Engine) execConnect(from, to mql.Expr, via string, connect bool) (*Resu
 	if fv.K != atom.KindRef || tv.K != atom.KindRef {
 		return nil, fmt.Errorf("%w: CONNECT requires address literals", ErrSemantic)
 	}
+	sc, sp := ctx.apply()
+	defer sp.End()
 	if connect {
-		err = e.sys.Connect(fv.A, via, tv.A)
+		err = e.sys.Connect(sc, fv.A, via, tv.A)
 	} else {
-		err = e.sys.Disconnect(fv.A, via, tv.A)
+		err = e.sys.Disconnect(sc, fv.A, via, tv.A)
 	}
 	if err != nil {
 		return nil, err

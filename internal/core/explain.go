@@ -41,7 +41,7 @@ func (e *Engine) execExplain(s *mql.Explain, ctx execCtx) (*Result, error) {
 	// transaction sees the transaction's snapshot.
 	tr := e.sys.Tracer().BeginForced("explain-analyze")
 	wallStart := time.Now()
-	res, runErr := e.runSelect(plan, execCtx{epoch: ctx.epoch, tr: tr})
+	res, runErr := e.runSelect(plan, execCtx{Request: Request{Epoch: ctx.Epoch, Trace: tr}})
 	wall := time.Since(wallStart)
 	snap := tr.Finish()
 	if runErr != nil {

@@ -139,7 +139,7 @@ func TestParallelApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = ParallelApply(roots, 4, func(a addr.LogicalAddr) error {
-		return sys.Update(a, map[string]atom.Value{"description": atom.Str("painted")})
+		return sys.Update(access.Scope{}, a, map[string]atom.Value{"description": atom.Str("painted")})
 	})
 	if err != nil {
 		t.Fatalf("ParallelApply: %v", err)

@@ -73,6 +73,32 @@ func (ms *MetricsSnapshot) Merge(other *MetricsSnapshot) *MetricsSnapshot {
 	return out
 }
 
+// Summary renders the database's headline counters — atom cache, buffer,
+// device I/O and, when the log is on, the write-ahead log — as one line of
+// text for shells and examples. A stalled checkpoint loop is flagged as
+// CHECKPOINT FAILING.
+func (ms *MetricsSnapshot) Summary() string {
+	hits, misses := float64(ms.Counter("buffer_hits")), float64(ms.Counter("buffer_misses"))
+	ratio := 0.0
+	if hits+misses > 0 {
+		ratio = 100 * hits / (hits + misses)
+	}
+	out := fmt.Sprintf("atoms: %d hits / %d misses, %d invalidations, %d/%d cached; buffer: %d hits / %d misses (%.1f%%), %d evictions; io: %d reads, %d writes, %d blocks in, %d blocks out, %d seeks",
+		ms.Counter("atom_cache_hits"), ms.Counter("atom_cache_misses"), ms.Counter("atom_cache_invalidations"),
+		int(ms.Gauge("atom_cache_atoms")), int(ms.Gauge("atom_cache_budget")),
+		ms.Counter("buffer_hits"), ms.Counter("buffer_misses"), ratio, ms.Counter("buffer_evictions"),
+		ms.Counter("io_reads"), ms.Counter("io_writes"), ms.Counter("io_blocks_read"), ms.Counter("io_blocks_written"), ms.Counter("io_seeks"))
+	if ms.Gauge("wal_enabled") != 0 {
+		out += fmt.Sprintf("; wal: %d records / %d bytes, %d commits in %d batches (%d syncs), %d checkpoints, %d recoveries",
+			ms.Counter("wal_appends"), ms.Counter("wal_bytes"), ms.Counter("wal_commits"),
+			ms.Counter("wal_batches"), ms.Counter("wal_syncs"), ms.Counter("wal_checkpoints"), ms.Counter("wal_recoveries"))
+		if ms.Gauge("wal_checkpoint_failing") != 0 {
+			out += "; CHECKPOINT FAILING: log truncation has stalled"
+		}
+	}
+	return out
+}
+
 // promName maps an internal metric name to a Prometheus metric name:
 // "prima_" prefix, with the "_ns" latency suffix rewritten to "_seconds"
 // (values are scaled to match).

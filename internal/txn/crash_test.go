@@ -2,6 +2,7 @@ package txn
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -58,14 +59,27 @@ func setupCrashDB(t *testing.T, dir string) {
 
 // crashRun executes the deterministic workload against a fresh copy of the
 // base database with every device volatile and the given crash plan armed.
-// It returns the committed model (addr -> expected "no" value), the set of
-// every address the run ever allocated, and — when the crash fired inside a
-// Commit call — that transaction's staged changes (which recovery may
-// legitimately have preserved, atomically).
+// The workload mixes transactions with autocommit statements. It returns
+// the durable model (addr -> expected "no" value), the set of every address
+// the run ever allocated, the autocommit writes that may or may not have
+// reached the log, and — when the crash fired inside a Commit call — that
+// transaction's staged changes (which recovery may legitimately have
+// preserved, atomically).
 type crashOutcome struct {
-	model    map[addr.LogicalAddr]int64 // acked-committed state
-	ever     map[addr.LogicalAddr]bool  // every address allocated pre-crash
+	model map[addr.LogicalAddr]int64 // state as of the last acked commit
+	ever  map[addr.LogicalAddr]bool  // every address allocated pre-crash
+	// pending lists, in log order, the autocommit writes since the last
+	// acked commit (plus one cut short by the crash). Autocommit does not
+	// force the log, so any prefix of them may survive a crash; the next
+	// acked commit's flush makes them all durable.
+	pending  []effect
 	inFlight map[addr.LogicalAddr]int64 // nil unless the crash hit a Commit; -1 = deleted
+}
+
+// effect is one autocommit write: atom a's "no" becomes v (-1 = deleted).
+type effect struct {
+	a addr.LogicalAddr
+	v int64
 }
 
 const crashTxns = 30
@@ -93,16 +107,66 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 
 	m := NewManager(sys)
 	rng := rand.New(rand.NewSource(seed))
-	var live []addr.LogicalAddr // committed live addresses, insertion order
+	// The autocommit statements draw from a stream of their own, so the
+	// transactions make the same choices as without them.
+	acRng := rand.New(rand.NewSource(seed + 1))
+	cur := map[addr.LogicalAddr]int64{} // state after every acked write
+	var live []addr.LogicalAddr         // cur's addresses, sorted
+	refreshLive := func() {
+		live = live[:0]
+		for a := range cur {
+			live = append(live, a)
+		}
+		// Map iteration order is random; restore determinism for target picks.
+		sortAddrs(live)
+	}
 	nextVal := int64(1)
 
 	for i := 0; i < crashTxns; i++ {
+		if acRng.Intn(3) == 0 {
+			// An autocommit statement before this transaction.
+			ac := m.Autocommit()
+			var e effect
+			var err error
+			switch k := acRng.Intn(10); {
+			case len(live) == 0 || k < 5:
+				e.v = nextVal
+				nextVal++
+				e.a, err = sys.Insert(ac, "part", map[string]atom.Value{"no": atom.Int(e.v)})
+				if err == nil {
+					out.ever[e.a] = true
+				}
+			case k < 8:
+				e.a, e.v = live[acRng.Intn(len(live))], nextVal
+				nextVal++
+				err = sys.Update(ac, e.a, map[string]atom.Value{"no": atom.Int(e.v)})
+			default:
+				e.a, e.v = live[acRng.Intn(len(live))], -1
+				err = sys.Delete(ac, e.a)
+			}
+			if err != nil {
+				if plan.Crashed() {
+					if e.a != 0 {
+						out.pending = append(out.pending, e) // may have been logged
+					}
+					return out
+				}
+				t.Fatalf("autocommit %d: %v", i, err)
+			}
+			out.pending = append(out.pending, e)
+			if e.v == -1 {
+				delete(cur, e.a)
+			} else {
+				cur[e.a] = e.v
+			}
+			refreshLive()
+		}
 		// Stage this transaction's intended effects: -1 marks a delete.
 		staged := map[addr.LogicalAddr]int64{}
 		var stagedLive []addr.LogicalAddr
 		tx := m.Begin()
 		nops := 1 + rng.Intn(3)
-		doErr := tx.Do(func() error {
+		doErr := tx.Do(func(sc access.Scope) error {
 			for o := 0; o < nops; o++ {
 				pool := append(append([]addr.LogicalAddr{}, live...), stagedLive...)
 				k := rng.Intn(10)
@@ -110,7 +174,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 				case len(pool) == 0 || k < 5: // insert
 					v := nextVal
 					nextVal++
-					a, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(v)})
+					a, err := sys.Insert(sc, "part", map[string]atom.Value{"no": atom.Int(v)})
 					if err != nil {
 						return err
 					}
@@ -124,7 +188,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 					}
 					v := nextVal
 					nextVal++
-					if err := sys.Update(a, map[string]atom.Value{"no": atom.Int(v)}); err != nil {
+					if err := sys.Update(sc, a, map[string]atom.Value{"no": atom.Int(v)}); err != nil {
 						return err
 					}
 					staged[a] = v
@@ -133,7 +197,7 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 					if staged[a] == -1 {
 						continue
 					}
-					if err := sys.Delete(a); err != nil {
+					if err := sys.Delete(sc, a); err != nil {
 						return err
 					}
 					staged[a] = -1
@@ -166,20 +230,18 @@ func crashRun(t *testing.T, dir string, plan *device.CrashPlan, seed int64) cras
 			}
 			t.Fatalf("txn %d commit: %v", i, err)
 		}
-		// Acked: fold the staged changes into the expected model.
+		// Acked: fold the staged changes into the current state; the
+		// commit's flush made every earlier autocommit write durable too.
 		for a, v := range staged {
 			if v == -1 {
-				delete(out.model, a)
+				delete(cur, a)
 			} else {
-				out.model[a] = v
+				cur[a] = v
 			}
 		}
-		live = live[:0]
-		for a := range out.model {
-			live = append(live, a)
-		}
-		// Map iteration order is random; restore determinism for target picks.
-		sortAddrs(live)
+		out.model = maps.Clone(cur)
+		out.pending = nil
+		refreshLive()
 	}
 	return out
 }
@@ -232,22 +294,31 @@ func recoverAndVerify(t *testing.T, dir string, out crashOutcome, point string) 
 	}
 	defer sys.Close()
 
-	err = checkState(sys, out, out.model)
-	if err != nil && out.inFlight != nil {
-		// The in-flight commit's record may have survived (torn tail):
-		// then its whole transaction must be present.
-		withB := map[addr.LogicalAddr]int64{}
-		for a, v := range out.model {
-			withB[a] = v
+	// Any prefix of the pending autocommit writes may have reached the log.
+	want := maps.Clone(out.model)
+	err = checkState(sys, out, want)
+	for _, e := range out.pending {
+		if err == nil {
+			break
 		}
+		if e.v == -1 {
+			delete(want, e.a)
+		} else {
+			want[e.a] = e.v
+		}
+		err = checkState(sys, out, want)
+	}
+	if err != nil && out.inFlight != nil {
+		// The in-flight commit's record may have survived (torn tail): then
+		// its whole transaction must be present, after every pending write.
 		for a, v := range out.inFlight {
 			if v == -1 {
-				delete(withB, a)
+				delete(want, a)
 			} else {
-				withB[a] = v
+				want[a] = v
 			}
 		}
-		if errB := checkState(sys, out, withB); errB == nil {
+		if errB := checkState(sys, out, want); errB == nil {
 			err = nil
 		}
 	}
@@ -256,7 +327,7 @@ func recoverAndVerify(t *testing.T, dir string, out crashOutcome, point string) 
 	}
 
 	// The recovered database accepts new work.
-	a, err := sys.Insert("part", map[string]atom.Value{"no": atom.Int(424242)})
+	a, err := sys.Insert(access.Scope{}, "part", map[string]atom.Value{"no": atom.Int(424242)})
 	if err != nil {
 		t.Fatalf("%s: insert after recovery: %v", point, err)
 	}

@@ -5,12 +5,16 @@
 // "selective in-transaction recovery" the paper calls for — while the
 // parent continues.
 //
+// Every write runs under an explicit access.Scope that the caller passes
+// down: a transaction is the lock owner and undo sink of its own scope, and
+// the manager's autocommit scope serves writes outside any transaction.
 // Writers acquire exclusive atom locks following Moss's rules: a
 // transaction may lock an atom if every other holder is one of its
 // ancestors; on commit the child's locks are inherited by the parent. Lock
 // conflicts fail immediately (no-wait policy): the failed statement leaves
 // partial effects that the caller removes by aborting, which is exactly
-// what the undo log is for.
+// what the undo log is for. The per-atom locks alone arbitrate between
+// transactions; there is no global writer lock.
 package txn
 
 import (
@@ -30,7 +34,6 @@ var (
 	ErrDone         = errors.New("txn: transaction already finished")
 	ErrChildActive  = errors.New("txn: child transactions still active")
 	ErrLockConflict = errors.New("txn: lock conflict")
-	ErrNotOwner     = errors.New("txn: operation outside transaction scope")
 	// ErrPoisoned means a rollback failed partway: locks were released over
 	// a possibly half-undone sphere, so the in-memory state can no longer be
 	// trusted. New work is refused; reopen the database (whose write-ahead
@@ -38,21 +41,11 @@ var (
 	ErrPoisoned = errors.New("txn: manager poisoned by failed rollback, reopen the database")
 )
 
-// opKind tags undo log entries.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opUpdate
-	opDelete
-)
-
 // logEntry is one undoable mutation.
 type logEntry struct {
-	kind     opKind
-	a        addr.LogicalAddr
-	typeName string
-	pre      []atom.Value // pre-image for update/delete
+	change access.Change
+	a      addr.LogicalAddr
+	pre    []atom.Value // pre-image for update/delete
 }
 
 // Manager coordinates transactions over one access system.
@@ -64,39 +57,54 @@ type Manager struct {
 	locks  map[addr.LogicalAddr]*Tx // exclusive holders
 	// poisoned is set when an abort's undo failed partway (see ErrPoisoned).
 	poisoned error
-	// writer serializes mutating statements so the single system hook can
-	// attribute mutations to the right transaction.
-	writer  sync.Mutex
-	current *Tx
 
 	// commitNs observes top-level commit latency — lock release plus the
 	// group-commit wait that dominates it when the WAL is on.
 	commitNs *obs.Histogram
 }
 
-// NewManager creates a transaction manager and installs its hook. It also
-// becomes the access system's transaction-id source, so write-ahead log
-// records carry the top-level transaction they belong to.
+// NewManager creates a transaction manager over sys.
 func NewManager(sys *access.System) *Manager {
-	m := &Manager{sys: sys, locks: map[addr.LogicalAddr]*Tx{}, commitNs: sys.Obs().Histogram("txn_commit_ns")}
-	sys.SetHook((*managerHook)(m))
-	sys.SetTxIDSource(func() uint64 {
-		m.mu.Lock()
-		cur := m.current
-		m.mu.Unlock()
-		if cur == nil {
-			return 0
-		}
-		return cur.rootID()
-	})
-	return m
+	return &Manager{sys: sys, locks: map[addr.LogicalAddr]*Tx{}, commitNs: sys.Obs().Histogram("txn_commit_ns")}
 }
 
-// Tx is one transaction (top-level or nested). Every transaction pins a
-// snapshot at Begin: its reads resolve at that epoch, untouched by concurrent
-// committers, and the snapshot advances only when the transaction's own
-// writes land (read-your-writes) — snapshot isolation per sphere.
+// Autocommit returns the scope of writes made outside any transaction. It
+// takes no locks and logs no undo, but it refuses atoms a transaction holds,
+// so an autocommit write never lands inside an open transaction's sphere —
+// whose abort would otherwise undo it — and it fails once the manager is
+// poisoned. Its log records carry transaction id 0: always redone.
+func (m *Manager) Autocommit() access.Scope {
+	return access.Scope{Owner: (*autocommit)(m)}
+}
+
+// autocommit is the lock-checking owner of the Autocommit scope.
+type autocommit Manager
+
+func (ac *autocommit) Lock(a addr.LogicalAddr) error {
+	m := (*Manager)(ac)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.poisoned != nil {
+		return ErrPoisoned
+	}
+	if holder, held := m.locks[a]; held {
+		return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
+	}
+	return nil
+}
+
+func (*autocommit) LogUndo(access.Change, addr.LogicalAddr, []atom.Value) {}
+
+// Tx is one transaction (top-level or nested) and the access.Owner of its
+// own write scope: it locks every atom its statements touch and logs their
+// undo. Every transaction pins a snapshot at Begin: its reads resolve at
+// that epoch, untouched by concurrent committers, and the snapshot advances
+// only when the transaction's own writes land (read-your-writes) — snapshot
+// isolation per sphere.
 type Tx struct {
+	// stmt serializes this transaction's statements with its own finish, so
+	// an Abort never races a statement still writing under the scope.
+	stmt     sync.Mutex
 	m        *Manager
 	id       uint64
 	parent   *Tx
@@ -139,8 +147,9 @@ func (t *Tx) Begin() (*Tx, error) {
 // ID returns the transaction id.
 func (t *Tx) ID() uint64 { return t.id }
 
-// rootID returns the id of t's top-level ancestor — the scope write-ahead
-// log records are attributed to (parents are immutable after Begin).
+// rootID returns the id of t's top-level ancestor — the transaction
+// write-ahead log records are attributed to (parents are immutable after
+// Begin).
 func (t *Tx) rootID() uint64 {
 	cur := t
 	for cur.parent != nil {
@@ -166,9 +175,13 @@ func (t *Tx) refreshLocked() {
 	old.Close()
 }
 
-// Do runs fn with this transaction bound as the mutation scope: every
-// access-system write inside fn is locked for and logged to t.
-func (t *Tx) Do(fn func() error) error {
+// Do runs one statement of t: fn receives t's write scope, and every
+// access-system write made under it is locked for and undo-logged to t.
+// Statements of one transaction run one at a time; fn must not commit or
+// abort t itself.
+func (t *Tx) Do(fn func(sc access.Scope) error) error {
+	t.stmt.Lock()
+	defer t.stmt.Unlock()
 	t.m.mu.Lock()
 	if t.dead || t.m.poisoned != nil {
 		t.m.mu.Unlock()
@@ -181,23 +194,16 @@ func (t *Tx) Do(fn func() error) error {
 	before := len(t.log)
 	t.m.mu.Unlock()
 
-	t.m.writer.Lock()
-	defer t.m.writer.Unlock()
+	err := fn(access.Scope{Owner: t, TxID: t.rootID()})
 	t.m.mu.Lock()
-	t.m.current = t
+	// Read-your-writes: a transaction that mutated atoms inside fn must see
+	// its own effects on the next read, so its view advances to the epoch
+	// its writes closed. Read-only spheres keep their frozen view.
+	if len(t.log) > before {
+		t.refreshLocked()
+	}
 	t.m.mu.Unlock()
-	defer func() {
-		t.m.mu.Lock()
-		t.m.current = nil
-		// Read-your-writes: a transaction that mutated atoms inside fn must
-		// see its own effects on the next read, so its view advances to the
-		// epoch its writes closed. Read-only spheres keep their frozen view.
-		if len(t.log) > before && !t.done {
-			t.refreshLocked()
-		}
-		t.m.mu.Unlock()
-	}()
-	return fn()
+	return err
 }
 
 // isAncestorOf reports whether t is an ancestor of (or equal to) o.
@@ -210,24 +216,40 @@ func (t *Tx) isAncestorOf(o *Tx) bool {
 	return false
 }
 
-// lock acquires an exclusive atom lock for t (Moss rule: conflicting
-// holders must be ancestors).
-func (m *Manager) lock(t *Tx, a addr.LogicalAddr) error {
+// Lock acquires an exclusive lock on atom a for t (Moss rule: conflicting
+// holders must be ancestors, which retain the lock while the child uses
+// and re-owns it).
+func (t *Tx) Lock(a addr.LogicalAddr) error {
+	m := t.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	holder, held := m.locks[a]
-	if !held || holder == t {
-		m.locks[a] = t
-		t.locks[a] = true
-		return nil
+	if m.poisoned != nil {
+		return ErrPoisoned
 	}
-	if holder.isAncestorOf(t) {
-		// Ancestor retains the lock; the child may use and re-own it.
-		m.locks[a] = t
-		t.locks[a] = true
-		return nil
+	if t.done {
+		return ErrDone
 	}
-	return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
+	if holder, held := m.locks[a]; held && !holder.isAncestorOf(t) {
+		return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
+	}
+	m.locks[a] = t
+	t.locks[a] = true
+	return nil
+}
+
+// LogUndo appends a completed mutation to t's undo log, copying its
+// pre-image.
+func (t *Tx) LogUndo(c access.Change, a addr.LogicalAddr, pre []atom.Value) {
+	e := logEntry{change: c, a: a}
+	if pre != nil {
+		e.pre = make([]atom.Value, len(pre))
+		for i, v := range pre {
+			e.pre[i] = v.Clone()
+		}
+	}
+	t.m.mu.Lock()
+	t.log = append(t.log, e)
+	t.m.mu.Unlock()
 }
 
 // Commit finishes t. A nested commit hands its undo log and locks to the
@@ -237,6 +259,8 @@ func (m *Manager) lock(t *Tx, a addr.LogicalAddr) error {
 // point the effects survive a crash. Without a log the effects live in
 // memory and buffered pages only and become durable at the next checkpoint.
 func (t *Tx) Commit() error {
+	t.stmt.Lock()
+	defer t.stmt.Unlock()
 	if t.parent == nil {
 		defer t.m.commitNs.ObserveSince(time.Now())
 	}
@@ -307,6 +331,8 @@ func (t *Tx) Commit() error {
 // log, which also records the transaction as a loser, then rolls it back
 // cleanly during recovery).
 func (t *Tx) Abort() error {
+	t.stmt.Lock()
+	defer t.stmt.Unlock()
 	t.m.mu.Lock()
 	if t.dead {
 		t.m.mu.Unlock()
@@ -325,37 +351,28 @@ func (t *Tx) Abort() error {
 	log := t.log
 	t.m.mu.Unlock()
 
-	// Undo without the hook observing (rollback must not lock or log-for-undo
-	// itself), but with t bound as the current scope so the write-ahead log
-	// attributes the rollback's own page writes to this transaction.
-	t.m.writer.Lock()
-	t.m.sys.SetHook(nil)
-	t.m.mu.Lock()
-	prev := t.m.current
-	t.m.current = t
-	t.m.mu.Unlock()
+	// The rollback scope neither locks (t still holds every atom its log
+	// names, so no other writer can interleave) nor logs undo for itself,
+	// but it carries t's id: the rollback's own log records are compensation
+	// of this transaction.
+	sc := access.Scope{TxID: t.rootID()}
 	var undoErrs []error
 	for i := len(log) - 1; i >= 0; i-- {
 		e := log[i]
 		var err error
-		switch e.kind {
-		case opInsert:
-			err = t.m.sys.RawDelete(e.a)
-		case opUpdate:
-			err = t.m.sys.RawOverwrite(e.a, e.pre)
-		case opDelete:
-			err = t.m.sys.RawResurrect(e.a, e.pre)
+		switch e.change {
+		case access.Inserted:
+			err = t.m.sys.RawDelete(sc, e.a)
+		case access.Updated:
+			err = t.m.sys.RawOverwrite(sc, e.a, e.pre)
+		case access.Deleted:
+			err = t.m.sys.RawResurrect(sc, e.a, e.pre)
 		}
 		if err != nil {
 			undoErrs = append(undoErrs, fmt.Errorf("txn: undo %v: %w", e.a, err))
 		}
 	}
 	undoErr := errors.Join(undoErrs...)
-	t.m.mu.Lock()
-	t.m.current = prev
-	t.m.mu.Unlock()
-	t.m.sys.SetHook((*managerHook)(t.m))
-	t.m.writer.Unlock()
 
 	wrote := len(log) > 0
 	t.m.mu.Lock()
@@ -385,68 +402,4 @@ func (t *Tx) Abort() error {
 		return t.m.sys.WALAbort(t.id)
 	}
 	return nil
-}
-
-// managerHook adapts Manager to the access.Hook interface.
-type managerHook Manager
-
-func (h *managerHook) m() *Manager { return (*Manager)(h) }
-
-// BeforeWrite locks the atom for the current transaction. Writes outside
-// any transaction scope pass through unlocked (autocommit).
-func (h *managerHook) BeforeWrite(a addr.LogicalAddr) error {
-	m := h.m()
-	m.mu.Lock()
-	cur := m.current
-	poisoned := m.poisoned
-	m.mu.Unlock()
-	if poisoned != nil {
-		return ErrPoisoned
-	}
-	if cur == nil {
-		// Autocommit write: it must not bypass existing locks.
-		m.mu.Lock()
-		holder, held := m.locks[a]
-		m.mu.Unlock()
-		if held {
-			return fmt.Errorf("%w: atom %v held by transaction %d", ErrLockConflict, a, holder.id)
-		}
-		return nil
-	}
-	return m.lock(cur, a)
-}
-
-func (h *managerHook) DidInsert(a addr.LogicalAddr) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		m.current.log = append(m.current.log, logEntry{kind: opInsert, a: a})
-	}
-}
-
-func (h *managerHook) DidUpdate(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		pre := make([]atom.Value, len(old))
-		for i, v := range old {
-			pre[i] = v.Clone()
-		}
-		m.current.log = append(m.current.log, logEntry{kind: opUpdate, a: a, typeName: typeName, pre: pre})
-	}
-}
-
-func (h *managerHook) DidDelete(a addr.LogicalAddr, typeName string, old []atom.Value) {
-	m := h.m()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.current != nil {
-		pre := make([]atom.Value, len(old))
-		for i, v := range old {
-			pre[i] = v.Clone()
-		}
-		m.current.log = append(m.current.log, logEntry{kind: opDelete, a: a, typeName: typeName, pre: pre})
-	}
 }

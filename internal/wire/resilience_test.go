@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"prima"
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/workload/brepgen"
@@ -30,7 +31,7 @@ func blobServer(t *testing.T, atoms, payloadBytes int, cfg ServerConfig) (*prima
 	}
 	wide := strings.Repeat("x", payloadBytes)
 	for i := 0; i < atoms; i++ {
-		if _, err := db.System().Insert("blob", map[string]atom.Value{
+		if _, err := db.System().Insert(access.Scope{}, "blob", map[string]atom.Value{
 			"n": atom.Int(int64(i)), "payload": atom.Str(wide),
 		}); err != nil {
 			t.Fatal(err)

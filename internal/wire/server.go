@@ -686,7 +686,7 @@ func (s *Server) dispatch(req *Request, tr *obs.Trace) *Response {
 		if cerr := s.db.System().WALCheckpointErr(); cerr != nil {
 			sj.WALCheckpointErr = cerr.Error()
 		}
-		return &Response{OK: true, Message: s.db.Stats(), Stats: sj, Metrics: ms}
+		return &Response{OK: true, Message: ms.Summary(), Stats: sj, Metrics: ms}
 	default:
 		return &Response{Error: "unknown op " + req.Op}
 	}

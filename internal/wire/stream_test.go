@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prima"
+	"prima/internal/access"
 	"prima/internal/access/atom"
 	"prima/internal/workload/brepgen"
 )
@@ -94,7 +95,7 @@ func TestOversizedChunkSplitsBySize(t *testing.T) {
 	}
 	wide := strings.Repeat("x", 700<<10) // ~22 MiB of JSON per 32-molecule chunk
 	for i := 0; i < streamChunk; i++ {
-		if _, err := db.System().Insert("blob", map[string]atom.Value{
+		if _, err := db.System().Insert(access.Scope{}, "blob", map[string]atom.Value{
 			"n": atom.Int(int64(i)), "payload": atom.Str(wide),
 		}); err != nil {
 			t.Fatal(err)
@@ -141,13 +142,13 @@ func TestOversizedMoleculeAbortsStreamCleanly(t *testing.T) {
 	if _, err := db.Exec(`CREATE ATOM_TYPE blob (id: IDENTIFIER, n: INTEGER, payload: CHAR_VAR)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.System().Insert("blob", map[string]atom.Value{
+	if _, err := db.System().Insert(access.Scope{}, "blob", map[string]atom.Value{
 		"n": atom.Int(0), "payload": atom.Str(strings.Repeat("x", 17<<20)),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < 6; i++ {
-		if _, err := db.System().Insert("blob", map[string]atom.Value{"n": atom.Int(int64(i))}); err != nil {
+		if _, err := db.System().Insert(access.Scope{}, "blob", map[string]atom.Value{"n": atom.Int(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/core"
@@ -101,7 +102,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		x := off + size*float64(i&1)
 		y := off + size*float64((i>>1)&1)
 		z := off + size*float64((i>>2)&1)
-		a, err := sys.Insert("point", map[string]atom.Value{
+		a, err := sys.Insert(access.Scope{}, "point", map[string]atom.Value{
 			"placement": atom.Record(atom.Real(x), atom.Real(y), atom.Real(z)),
 		})
 		if err != nil {
@@ -110,21 +111,23 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		c.Points = append(c.Points, a)
 	}
 
-	// 12 edges: vertex pairs differing in exactly one bit.
-	edgeIdx := map[[2]int]int{}
+	// 12 edges: vertex pairs differing in exactly one bit, kept in insertion
+	// order (aligned with c.Edges) so every face links its border edges in
+	// the same order in every process — and so lays out the same pages.
+	var edgePairs [][2]int
 	for i := 0; i < 8; i++ {
 		for j := i + 1; j < 8; j++ {
 			if bits.OnesCount(uint(i^j)) != 1 {
 				continue
 			}
-			a, err := sys.Insert("edge", map[string]atom.Value{
+			a, err := sys.Insert(access.Scope{}, "edge", map[string]atom.Value{
 				"length":   atom.Real(size),
 				"boundary": atom.RefSet(c.Points[i], c.Points[j]),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("brepgen: edge %d-%d: %w", i, j, err)
 			}
-			edgeIdx[[2]int{i, j}] = len(c.Edges)
+			edgePairs = append(edgePairs, [2]int{i, j})
 			c.Edges = append(c.Edges, a)
 		}
 	}
@@ -134,7 +137,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		for side := 0; side < 2; side++ {
 			var border []addr.LogicalAddr
 			var corners []addr.LogicalAddr
-			for pair, idx := range edgeIdx {
+			for idx, pair := range edgePairs {
 				i, j := pair[0], pair[1]
 				if (i>>axis)&1 == side && (j>>axis)&1 == side {
 					border = append(border, c.Edges[idx])
@@ -145,7 +148,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 					corners = append(corners, c.Points[i])
 				}
 			}
-			a, err := sys.Insert("face", map[string]atom.Value{
+			a, err := sys.Insert(access.Scope{}, "face", map[string]atom.Value{
 				"square_dim": atom.Real(size * size),
 				"border":     atom.RefSet(border...),
 				"crosspoint": atom.RefSet(corners...),
@@ -163,7 +166,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 		atom.Real(off), atom.Real(off+size),
 		atom.Real(off), atom.Real(off+size),
 	)
-	brep, err := sys.Insert("brep", map[string]atom.Value{
+	brep, err := sys.Insert(access.Scope{}, "brep", map[string]atom.Value{
 		"brep_no": atom.Int(int64(brepNo)),
 		"hull":    hull,
 		"faces":   atom.RefSet(c.Faces...),
@@ -175,7 +178,7 @@ func BuildCube(e *core.Engine, solidNo, brepNo int, off, size float64) (*Cube, e
 	}
 	c.Brep = brep
 
-	solid, err := sys.Insert("solid", map[string]atom.Value{
+	solid, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 		"solid_no":    atom.Int(int64(solidNo)),
 		"description": atom.Str(fmt.Sprintf("cube %d", solidNo)),
 		"brep":        atom.Ref(brep),
@@ -214,7 +217,7 @@ func BuildAssembly(e *core.Engine, baseNo, depth, branching int) (addr.LogicalAd
 		myNo := no
 		no++
 		count++
-		a, err := sys.Insert("solid", map[string]atom.Value{
+		a, err := sys.Insert(access.Scope{}, "solid", map[string]atom.Value{
 			"solid_no":    atom.Int(int64(myNo)),
 			"description": atom.Str(fmt.Sprintf("assembly level %d", level)),
 		})
@@ -230,7 +233,7 @@ func BuildAssembly(e *core.Engine, baseNo, depth, branching int) (addr.LogicalAd
 				}
 				subs = append(subs, c)
 			}
-			if err := sys.Update(a, map[string]atom.Value{"sub": atom.RefSet(subs...)}); err != nil {
+			if err := sys.Update(access.Scope{}, a, map[string]atom.Value{"sub": atom.RefSet(subs...)}); err != nil {
 				return 0, err
 			}
 		}

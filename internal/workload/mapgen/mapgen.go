@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/core"
@@ -55,7 +56,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 	w := &World{}
 	kinds := []string{"urban", "forest", "water", "farmland"}
 	for m := 0; m < maps; m++ {
-		ma, err := sys.Insert("map", map[string]atom.Value{
+		ma, err := sys.Insert(access.Scope{}, "map", map[string]atom.Value{
 			"name":  atom.Str(fmt.Sprintf("sheet-%d", m)),
 			"scale": atom.Int(int64(25000 * (m + 1))),
 		})
@@ -64,7 +65,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 		}
 		w.Maps = append(w.Maps, ma)
 		for r := 0; r < regionsPerMap; r++ {
-			re, err := sys.Insert("region", map[string]atom.Value{
+			re, err := sys.Insert(access.Scope{}, "region", map[string]atom.Value{
 				"name": atom.Str(fmt.Sprintf("r%d-%d", m, r)),
 				"kind": atom.Str(kinds[(m+r)%len(kinds)]),
 				"map":  atom.Ref(ma),
@@ -74,7 +75,7 @@ func Build(e *core.Engine, maps, regionsPerMap, sitesPerRegion int, seed int64) 
 			}
 			w.Regions = append(w.Regions, re)
 			for s := 0; s < sitesPerRegion; s++ {
-				si, err := sys.Insert("site", map[string]atom.Value{
+				si, err := sys.Insert(access.Scope{}, "site", map[string]atom.Value{
 					"name":   atom.Str(fmt.Sprintf("s%d", len(w.Sites))),
 					"x":      atom.Real(rng.Float64() * 100),
 					"y":      atom.Real(rng.Float64() * 100),

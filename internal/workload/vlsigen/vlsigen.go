@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"prima/internal/access"
 	"prima/internal/access/addr"
 	"prima/internal/access/atom"
 	"prima/internal/core"
@@ -52,7 +53,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 	nl := &Netlist{}
 
 	for i := 0; i < nets; i++ {
-		a, err := sys.Insert("net", map[string]atom.Value{
+		a, err := sys.Insert(access.Scope{}, "net", map[string]atom.Value{
 			"signal": atom.Str(fmt.Sprintf("sig%d", i)),
 		})
 		if err != nil {
@@ -62,7 +63,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 	}
 	kinds := []string{"nand", "nor", "inv", "dff", "mux"}
 	for i := 0; i < cells; i++ {
-		c, err := sys.Insert("cell", map[string]atom.Value{
+		c, err := sys.Insert(access.Scope{}, "cell", map[string]atom.Value{
 			"name": atom.Str(fmt.Sprintf("u%d", i)),
 			"kind": atom.Str(kinds[i%len(kinds)]),
 		})
@@ -72,7 +73,7 @@ func Build(e *core.Engine, cells, pinsPerCell, nets int, seed int64) (*Netlist, 
 		nl.Cells = append(nl.Cells, c)
 		for p := 0; p < pinsPerCell; p++ {
 			net := nl.Nets[rng.Intn(len(nl.Nets))]
-			pin, err := sys.Insert("pin", map[string]atom.Value{
+			pin, err := sys.Insert(access.Scope{}, "pin", map[string]atom.Value{
 				"pos":  atom.Int(int64(p)),
 				"cell": atom.Ref(c),
 				"net":  atom.Ref(net),

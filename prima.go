@@ -26,7 +26,6 @@ package prima
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"prima/internal/access"
@@ -168,15 +167,16 @@ func (db *DB) Checkpoint() error { return db.sys.Checkpoint() }
 
 // Exec parses and executes an MQL script (one or more statements separated
 // by semicolons) in autocommit mode, returning one result per statement.
+// Autocommit writes take no locks but fail on any atom a transaction holds.
 func (db *DB) Exec(src string) ([]*Result, error) {
-	return db.engine.ExecuteScript(src)
+	return db.ExecTraced(src, nil)
 }
 
 // ExecTraced is Exec with the script's stages (parse, plan, assemble,
 // apply) recorded as child spans of tr's root. A nil trace behaves exactly
 // like Exec; the caller owns tr and decides when to Finish it.
 func (db *DB) ExecTraced(src string, tr *obs.Trace) ([]*Result, error) {
-	return db.engine.ExecuteScriptTraced(src, tr)
+	return db.engine.Run(src, core.Request{Scope: db.txm.Autocommit(), Trace: tr})
 }
 
 // Tracer returns the database's request tracer — the sampling/slow-query
@@ -191,7 +191,7 @@ func (db *DB) ExecOne(src string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return db.engine.Execute(stmt)
+	return db.engine.Execute(stmt, core.Request{Scope: db.txm.Autocommit()})
 }
 
 // Query prepares a SELECT and returns a one-molecule-at-a-time cursor. The
@@ -291,9 +291,10 @@ func (t *Tx) Begin() (*Tx, error) {
 // always applies to current state under the transaction's locks.
 func (t *Tx) Exec(src string) ([]*Result, error) {
 	var out []*Result
-	err := t.inner.Do(func() error {
+	err := t.inner.Do(func(sc access.Scope) error {
+		epoch := t.inner.Epoch()
 		var err error
-		out, err = t.db.engine.ExecuteScriptAt(src, t.inner.Epoch())
+		out, err = t.db.engine.Run(src, core.Request{Scope: sc, Epoch: &epoch})
 		return err
 	})
 	return out, err
@@ -327,29 +328,3 @@ func (db *DB) Registry() *obs.Registry { return db.sys.Obs() }
 // Metrics takes one coherent snapshot of every registered metric — the same
 // data the wire `stats` op and primad's /metrics endpoint serve.
 func (db *DB) Metrics() *obs.MetricsSnapshot { return db.sys.Obs().Snapshot() }
-
-// Stats summarizes atom cache, buffer, device and WAL activity, rendered
-// from one Metrics snapshot so the string view, StatsJSON and /metrics can
-// never disagree.
-func (db *DB) Stats() string {
-	ms := db.Metrics()
-	ds := db.sys.Files().Stats()
-	hits, misses := float64(ms.Counter("buffer_hits")), float64(ms.Counter("buffer_misses"))
-	ratio := 0.0
-	if hits+misses > 0 {
-		ratio = 100 * hits / (hits + misses)
-	}
-	out := fmt.Sprintf("atoms: %d hits / %d misses, %d invalidations, %d/%d cached; buffer: %d hits / %d misses (%.1f%%), %d evictions; io: %s",
-		ms.Counter("atom_cache_hits"), ms.Counter("atom_cache_misses"), ms.Counter("atom_cache_invalidations"),
-		int(ms.Gauge("atom_cache_atoms")), int(ms.Gauge("atom_cache_budget")),
-		ms.Counter("buffer_hits"), ms.Counter("buffer_misses"), ratio, ms.Counter("buffer_evictions"), ds)
-	if ms.Gauge("wal_enabled") != 0 {
-		out += fmt.Sprintf("; wal: %d records / %d bytes, %d commits in %d batches (%d syncs), %d checkpoints, %d recoveries",
-			ms.Counter("wal_appends"), ms.Counter("wal_bytes"), ms.Counter("wal_commits"),
-			ms.Counter("wal_batches"), ms.Counter("wal_syncs"), ms.Counter("wal_checkpoints"), ms.Counter("wal_recoveries"))
-		if cerr := db.sys.WALCheckpointErr(); cerr != nil {
-			out += fmt.Sprintf("; CHECKPOINT FAILING: %v", cerr)
-		}
-	}
-	return out
-}

@@ -164,7 +164,7 @@ func TestPersistentDatabase(t *testing.T) {
 	if len(res.Molecules) != 1 || res.Molecules[0].Size() != brepgen.CubeAtoms {
 		t.Fatalf("reopened molecule wrong: %d", len(res.Molecules))
 	}
-	if db2.Stats() == "" {
+	if db2.Metrics().Summary() == "" {
 		t.Fatal("Stats empty")
 	}
 }
